@@ -21,7 +21,10 @@
 //!   runs) is recorded like any failed reload — `server_reload_failed_total`
 //!   incremented, old world still serving, version untouched. Rollback is
 //!   structural: [`genie::live::LiveWorld`] only swaps after a fully
-//!   successful build, so there is nothing to undo.
+//!   successful build, so there is nothing to undo;
+//! * the builder marks itself idle *before* it replies to a waiting caller,
+//!   so a caller that resubmits the moment its reload returns is never
+//!   told the finished job is still in progress.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -224,10 +227,95 @@ fn runner_loop(shared: &RunnerShared, receiver: &mpsc::Receiver<ReloadJob>) {
                 last.error = Some(error.to_string());
             }
         }
+        // Free the runner before replying: a waiting caller may submit its
+        // next reload the moment it has this outcome, and must not find the
+        // finished job still marked busy.
+        shared.running.store(false, Ordering::Release);
+        shared.busy.store(false, Ordering::Release);
         if let Some(reply) = job.reply {
             let _ = reply.send(outcome);
         }
-        shared.running.store(false, Ordering::Release);
-        shared.busy.store(false, Ordering::Release);
+        // `reload.reply` (delay only): holds the builder as if it were
+        // descheduled right after replying, which must not matter.
+        if let Some(fault) = genie_nlp::failpoint::check("reload.reply") {
+            if fault.kind == genie_nlp::failpoint::FaultKind::Delay {
+                std::thread::sleep(fault.delay);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use genie::paraphrase::ParaphraseConfig;
+    use genie::pipeline::PipelineConfig;
+    use genie_templates::GeneratorConfig;
+    use luinet::ModelConfig;
+    use thingpedia::Thingpedia;
+
+    fn tiny_world() -> LiveWorld {
+        let pipeline = PipelineConfig::builder()
+            .synthesis(
+                GeneratorConfig::builder()
+                    .target_per_rule(2)
+                    .instantiations_per_template(1)
+                    .seed(5)
+                    .threads(1)
+                    .quiet(true)
+                    .build()
+                    .unwrap(),
+            )
+            .paraphrase(
+                ParaphraseConfig::builder()
+                    .per_sentence(1)
+                    .error_rate(0.0)
+                    .seed(5)
+                    .build()
+                    .unwrap(),
+            )
+            .paraphrase_sample(4)
+            .parameter_expansion(false)
+            .seed(5)
+            .build()
+            .unwrap();
+        let model = ModelConfig {
+            epochs: 1,
+            seed: 5,
+            threads: 1,
+            ..ModelConfig::default()
+        };
+        LiveWorld::bootstrap(Thingpedia::builtin(), pipeline, model).unwrap()
+    }
+
+    /// A `wait: true` caller that resubmits the instant its reload returns
+    /// must never find the runner still busy with the job it just saw
+    /// finish — even when the builder is slow to come back after replying
+    /// (the delayed `reload.reply` failpoint), as a descheduled builder
+    /// thread is under load.
+    #[test]
+    fn back_to_back_waited_reloads_are_never_busy() {
+        let runner =
+            ReloadRunner::start(Arc::new(tiny_world()), Arc::new(Metrics::default())).unwrap();
+        let _serialized = genie_nlp::failpoint::registry_test_lock();
+        let _armed = genie_nlp::failpoint::armed(&genie_nlp::failpoint::FaultPlan::new(1).site(
+            "reload.reply",
+            genie_nlp::failpoint::SiteSpec::new().delay(1.0, 20),
+        ));
+        for i in 0..20 {
+            // Removing a class the library lacks is a cheap no-op rebuild.
+            let delta = SkillDelta::Remove {
+                name: "com.test.absent".to_owned(),
+            };
+            match runner.submit(delta, RetrainMode::FineTune { epochs: 1 }, true) {
+                ReloadSubmit::Done(outcome) => {
+                    assert!(outcome.is_ok(), "reload {i} failed: {:?}", outcome.err());
+                }
+                ReloadSubmit::Busy => panic!("reload {i} found the runner busy"),
+                ReloadSubmit::Accepted { .. } => panic!("reload {i} did not wait"),
+                ReloadSubmit::ShuttingDown => panic!("reload {i} found the runner shut down"),
+            }
+        }
+        runner.shutdown();
     }
 }

@@ -16,6 +16,12 @@
 //!   candidates) per step instead of the old monolithic scheme's O(buckets ×
 //!   candidate-bytes) re-hashing of candidate text for every bucket.
 //!
+//! A trained parser serves its weights from [`AveragedWeights`], a compact
+//! read-only table over the few buckets training touched, and a decode
+//! memoizes the bucket values that depend only on the sentence and the
+//! candidate ([`SentenceIndex::candidate_values`]) so a step mixes and
+//! looks up only its step-dependent buckets ([`StepContext::score_cached`]).
+//!
 //! [`candidate_buckets_reference`] is the straightforward monolithic
 //! definition of the same feature scheme (hash everything from scratch for
 //! every bucket); the golden test in this module pins the optimized path to
@@ -25,6 +31,10 @@ use genie_nlp::intern::Symbol;
 
 /// Number of weight buckets (2^22).
 pub const FEATURE_BUCKETS: usize = 1 << 22;
+
+/// Positions at or beyond this share one position feature, so decode steps
+/// that differ only in such positions score alike.
+pub const POSITION_CAP: usize = 24;
 
 const BUCKET_MASK: u64 = (FEATURE_BUCKETS - 1) as u64;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -101,7 +111,10 @@ fn ctx_prev2(prev2: &str, prev1: &str) -> u64 {
 
 #[inline]
 fn ctx_pos(position: usize) -> u64 {
-    fold(CTX_POS_TAG, &(position.min(24) as u64).to_le_bytes())
+    fold(
+        CTX_POS_TAG,
+        &(position.min(POSITION_CAP) as u64).to_le_bytes(),
+    )
 }
 
 #[inline]
@@ -242,6 +255,102 @@ impl SentenceIndex {
     pub fn has_pair(&self, a: Symbol, b: Symbol) -> bool {
         self.pairs.binary_search(&(a, b)).is_ok()
     }
+
+    /// How many values [`SentenceIndex::candidate_values`] appends per
+    /// candidate.
+    #[inline]
+    pub fn candidate_value_count(&self) -> usize {
+        3 + self.word_ctx.len()
+    }
+
+    /// Append the bucket values of `candidate` that depend only on this
+    /// sentence and the candidate, in bucket order: bias, copy-word (`0.0`
+    /// unless the candidate is an input word), prev-copied, then one per
+    /// content word. [`StepContext::score_cached`] adds them back in
+    /// [`StepContext::for_each_bucket`] order.
+    pub fn candidate_values(
+        &self,
+        weights: &AveragedWeights,
+        candidate: Symbol,
+        cand_hash: u64,
+        out: &mut Vec<f64>,
+    ) {
+        out.push(weights.get(mix_bucket(CTX_BIAS, cand_hash)));
+        out.push(if self.contains(candidate) {
+            weights.get(mix_bucket(CTX_COPY_WORD, cand_hash))
+        } else {
+            0.0
+        });
+        out.push(weights.get(mix_bucket(CTX_PREV_COPIED, cand_hash)));
+        for &word_ctx in &self.word_ctx {
+            out.push(weights.get(mix_bucket(word_ctx, cand_hash)));
+        }
+    }
+}
+
+/// The served perceptron parameters: the averaged weight of every bucket
+/// training touched, in a read-only open-addressed table (linear probing,
+/// load factor at most 1/4). A bucket missing from the table reads as
+/// `+0.0`, the averaged weight of a bucket training never touched.
+///
+/// Buckets are already the low bits of a mixed hash ([`mix_bucket`]), so
+/// the table indexes by the bucket's own low bits. Most lookups are for
+/// buckets the table lacks; the low load factor lets the first slot decide
+/// nearly every lookup, which measured faster than a half-full table. A
+/// slot is 16 bytes and there are four to eight slots per nonzero bucket,
+/// against 12 bytes for *every* bucket (48 MB) in the dense training
+/// arrays.
+pub struct AveragedWeights {
+    /// `(bucket, averaged weight)`; [`EMPTY_SLOT`] marks a free slot.
+    slots: Box<[(u32, f64)]>,
+    mask: usize,
+}
+
+/// The key of a free slot (no bucket reaches it: buckets are below
+/// [`FEATURE_BUCKETS`]).
+const EMPTY_SLOT: u32 = u32::MAX;
+
+impl Default for AveragedWeights {
+    /// The table of an untrained parser: every bucket reads `+0.0`.
+    fn default() -> Self {
+        AveragedWeights::build(std::iter::empty())
+    }
+}
+
+impl AveragedWeights {
+    /// Build the table from `(bucket, averaged weight)` pairs with
+    /// distinct buckets below [`FEATURE_BUCKETS`].
+    pub fn build(entries: impl ExactSizeIterator<Item = (u32, f64)>) -> Self {
+        // At least one free slot always remains, so every probe ends.
+        let capacity = (4 * entries.len()).next_power_of_two().max(1);
+        let mask = capacity - 1;
+        let mut slots = vec![(EMPTY_SLOT, 0.0); capacity].into_boxed_slice();
+        for (bucket, value) in entries {
+            let mut slot = bucket as usize & mask;
+            while slots[slot].0 != EMPTY_SLOT {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = (bucket, value);
+        }
+        AveragedWeights { slots, mask }
+    }
+
+    /// The averaged weight of `bucket` (`+0.0` when training never touched
+    /// it).
+    #[inline]
+    pub fn get(&self, bucket: usize) -> f64 {
+        let mut slot = bucket & self.mask;
+        loop {
+            let (key, value) = self.slots[slot];
+            if key as usize == bucket {
+                return value;
+            }
+            if key == EMPTY_SLOT {
+                return 0.0;
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
 }
 
 /// The context halves of one decoding step, folded once and mixed against
@@ -293,6 +402,12 @@ impl<'a> StepContext<'a> {
         self.prev2
     }
 
+    /// The sentence this step was folded for.
+    #[inline]
+    pub fn index(&self) -> &'a SentenceIndex {
+        self.index
+    }
+
     /// Visit every active bucket for one candidate — pure integer mixing of
     /// the pre-folded context halves with the candidate's cached hash, plus
     /// two O(log n) membership tests on the sentence index.
@@ -314,6 +429,42 @@ impl<'a> StepContext<'a> {
         for &word_ctx in &self.index.word_ctx {
             f(mix_bucket(word_ctx, cand_hash));
         }
+    }
+
+    /// The averaged-weight sum over this candidate's buckets: the same
+    /// additions in the same order as summing [`AveragedWeights::get`] over
+    /// [`StepContext::for_each_bucket`], so the result is bit-identical,
+    /// but the candidate-only values come from `cached` (filled by
+    /// [`SentenceIndex::candidate_values`]) and only the step-dependent
+    /// buckets are mixed and looked up.
+    #[inline]
+    pub fn score_cached(
+        &self,
+        weights: &AveragedWeights,
+        candidate: Symbol,
+        cand_hash: u64,
+        cached: &[f64],
+    ) -> f64 {
+        let (bias, copy_word, prev_copied) = (cached[0], cached[1], cached[2]);
+        let mut score = 0.0;
+        score += bias;
+        for &ctx in &self.ctx_fixed[1..] {
+            score += weights.get(mix_bucket(ctx, cand_hash));
+        }
+        if self.index.contains(candidate) {
+            score += weights.get(self.copy_bucket);
+            score += copy_word;
+        }
+        if self.prev_copied {
+            score += prev_copied;
+            if self.index.has_pair(self.prev1, candidate) {
+                score += weights.get(COPY_NEXT_BUCKET);
+            }
+        }
+        for &value in &cached[3..] {
+            score += value;
+        }
+        score
     }
 
     /// Collect the active buckets into a reusable buffer (the shape the

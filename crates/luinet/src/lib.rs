@@ -37,6 +37,15 @@
 //! (fixed shard partition, iterative parameter mixing; see
 //! [`model::ModelConfig::train_shards`]). Trained weights and every
 //! prediction are byte-identical for any worker thread count.
+//!
+//! A trained parser keeps its weights sparse: the nonzero `(bucket,
+//! weight, total)` entries plus a compact table of their averaged values
+//! ([`features::AveragedWeights`]). The dense per-bucket arrays training
+//! needs exist only inside [`model::LuinetParser::train`] and
+//! [`model::LuinetParser::fine_tune`]. Each decode call memoizes the
+//! bucket values that depend only on the sentence and the candidate, and
+//! every scored step, so the beam reuses what greedy decoding already
+//! scored (see [`model`]).
 
 pub mod baseline;
 pub mod data;

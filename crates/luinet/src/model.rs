@@ -20,6 +20,26 @@
 //! hypotheses extend a shared backpointer arena instead of cloning token
 //! vectors. Text is resolved only at the public API boundary.
 //!
+//! # Sparse served weights, memoized decoding
+//!
+//! Training needs dense arrays (a raw weight and a running total per
+//! bucket, 48 MB at 2^22 buckets) but touches well under 1% of them. The
+//! arrays are scratch inside [`LuinetParser::train`] and
+//! [`LuinetParser::fine_tune`] only: each rebuilds them from the parser's
+//! sparse `(bucket, weight, total)` entries on entry and folds them back on
+//! exit. A trained parser keeps just those entries (what the weights
+//! digest and snapshots fold) plus an [`AveragedWeights`] table of their
+//! averaged values.
+//!
+//! One decode call ([`LuinetParser::predict`] or
+//! [`LuinetParser::predict_topk`]) shares a memo: the candidate-only bucket
+//! values of every candidate it scores, and every scored step keyed by
+//! `(prev2, prev1, capped position)`, so the beam reuses the steps greedy
+//! decoding already scored. The beam keeps its survivors by a top-`k`
+//! selection that returns exactly what sort → dedup → truncate returns.
+//! Scores are added in the same order as the per-bucket definition, so
+//! every token and score bit is unchanged.
+//!
 //! # Deterministic parallel training
 //!
 //! [`LuinetParser::train`] splits each epoch's shuffled example stream into
@@ -37,7 +57,9 @@
 //! trained weights are a function of (data, config) only — byte-identical
 //! for any worker thread count.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use genie_nlp::intern::{FnvState, Symbol};
 use rand::rngs::StdRng;
@@ -45,7 +67,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::data::ParserExample;
-use crate::features::{cand_hash, SentenceIndex, StepContext, FEATURE_BUCKETS};
+use crate::features::{
+    cand_hash, AveragedWeights, SentenceIndex, StepContext, FEATURE_BUCKETS, POSITION_CAP,
+};
 use crate::lm::ProgramLm;
 use crate::vocab::{bos_symbol, eos_symbol, Vocab};
 
@@ -186,6 +210,68 @@ impl CompiledTransitions {
     }
 }
 
+/// One nonzero averaged-perceptron parameter: `(bucket, raw weight,
+/// running total)`.
+pub(crate) type WeightEntry = (u32, f32, f64);
+
+/// Training scratch: the raw weight and running total of every bucket,
+/// rebuilt from the sparse entries when a training pass starts and folded
+/// back into them when it ends, so a served parser never holds it.
+struct DenseParams {
+    weights: Vec<f32>,
+    totals: Vec<f64>,
+    /// One bit per bucket ever written, so folding back reads only those
+    /// instead of scanning all 48 MB.
+    touched: Vec<u64>,
+}
+
+impl DenseParams {
+    fn from_entries(entries: &[WeightEntry]) -> Self {
+        let mut dense = DenseParams {
+            weights: vec![0.0; FEATURE_BUCKETS],
+            totals: vec![0.0; FEATURE_BUCKETS],
+            touched: vec![0; FEATURE_BUCKETS / 64],
+        };
+        for &(bucket, weight, total) in entries {
+            dense.weights[bucket as usize] = weight;
+            dense.totals[bucket as usize] = total;
+            dense.touch(bucket as usize);
+        }
+        dense
+    }
+
+    #[inline]
+    fn touch(&mut self, bucket: usize) {
+        self.touched[bucket / 64] |= 1 << (bucket % 64);
+    }
+
+    /// Merge one shard delta into a bucket.
+    #[inline]
+    fn add(&mut self, bucket: usize, weight_delta: f64, total_delta: f64) {
+        self.weights[bucket] = (self.weights[bucket] as f64 + weight_delta) as f32;
+        self.totals[bucket] += total_delta;
+        self.touch(bucket);
+    }
+
+    /// The nonzero buckets in ascending bucket order (an untouched bucket
+    /// is zero).
+    fn into_entries(self) -> Vec<WeightEntry> {
+        let mut entries = Vec::new();
+        for (word_index, &word) in self.touched.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let bucket = word_index * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (weight, total) = (self.weights[bucket], self.totals[bucket]);
+                if weight != 0.0 || total != 0.0 {
+                    entries.push((bucket as u32, weight, total));
+                }
+            }
+        }
+        entries
+    }
+}
+
 /// A training example prepared once per [`LuinetParser::train`] call and
 /// reused by every epoch: the sentence index and the gold program with
 /// end-of-sequence appended and candidate-half hashes cached.
@@ -305,6 +391,37 @@ impl BeamArena {
     }
 }
 
+/// Per-call decode memo (see the module notes): the candidate-only bucket
+/// values of each candidate, and each scored step's full candidate list.
+struct DecodeMemo<'s> {
+    index: &'s SentenceIndex,
+    candidates: CandidateMemo,
+    /// `(prev2, prev1, capped position)` → range of `scores`.
+    steps: HashMap<(Symbol, Symbol, u32), (u32, u32), FnvState>,
+    /// `(candidate, score)` in the deterministic candidate order.
+    scores: Vec<(Symbol, f64)>,
+}
+
+impl<'s> DecodeMemo<'s> {
+    fn new(index: &'s SentenceIndex) -> Self {
+        DecodeMemo {
+            index,
+            candidates: CandidateMemo::default(),
+            steps: HashMap::default(),
+            scores: Vec::new(),
+        }
+    }
+}
+
+/// The candidate-only bucket values ([`SentenceIndex::candidate_values`])
+/// of every candidate one decode call has scored.
+#[derive(Default)]
+struct CandidateMemo {
+    /// Candidate → offset of its values in `values`.
+    offsets: HashMap<Symbol, u32, FnvState>,
+    values: Vec<f64>,
+}
+
 /// The trainable parser.
 ///
 /// Fields are `pub(crate)` for [`crate::snapshot`], which serializes and
@@ -312,8 +429,11 @@ impl BeamArena {
 pub struct LuinetParser {
     pub(crate) config: ModelConfig,
     pub(crate) vocab: Vocab,
-    pub(crate) weights: Vec<f32>,
-    pub(crate) totals: Vec<f64>,
+    /// The nonzero parameters in ascending bucket order: exactly what
+    /// [`LuinetParser::weights_digest`] folds and snapshots store.
+    pub(crate) entries: Vec<WeightEntry>,
+    /// `entries` averaged for decoding (see [`LuinetParser::install`]).
+    pub(crate) averaged: AveragedWeights,
     pub(crate) updates: u64,
     pub(crate) transitions: ProgramLm,
     pub(crate) compiled: CompiledTransitions,
@@ -330,8 +450,8 @@ impl LuinetParser {
         LuinetParser {
             config,
             vocab: Vocab::new(),
-            weights: vec![0.0; FEATURE_BUCKETS],
-            totals: vec![0.0; FEATURE_BUCKETS],
+            entries: Vec::new(),
+            averaged: AveragedWeights::default(),
             updates: 0,
             transitions: ProgramLm::new(),
             compiled: CompiledTransitions::default(),
@@ -371,14 +491,31 @@ impl LuinetParser {
             state ^= value;
             state = state.wrapping_mul(PRIME);
         };
-        for (bucket, (&weight, &total)) in self.weights.iter().zip(&self.totals).enumerate() {
-            if weight != 0.0 || total != 0.0 {
-                fold(bucket as u64);
-                fold(u64::from(weight.to_bits()));
-                fold(total.to_bits());
-            }
+        for &(bucket, weight, total) in &self.entries {
+            fold(u64::from(bucket));
+            fold(u64::from(weight.to_bits()));
+            fold(total.to_bits());
         }
         state
+    }
+
+    /// Take `entries` (nonzero, ascending buckets) as the trained
+    /// parameters and build their averaged table. Each value is the
+    /// bucket's averaged weight, `weight - total / updates` (the raw weight
+    /// while no update is counted), computed in `f64` exactly as scoring
+    /// sums it.
+    pub(crate) fn install(&mut self, entries: Vec<WeightEntry>) {
+        let updates = self.updates as f64;
+        let averaged = entries.iter().map(|&(bucket, weight, total)| {
+            let value = if self.updates > 0 {
+                weight as f64 - total / updates
+            } else {
+                weight as f64
+            };
+            (bucket, value)
+        });
+        self.averaged = AveragedWeights::build(averaged);
+        self.entries = entries;
     }
 
     /// Train on the given examples (teacher forcing, averaged perceptron,
@@ -388,18 +525,7 @@ impl LuinetParser {
         if examples.is_empty() {
             return;
         }
-        let prepared = self.prepare_examples(examples);
-        let shards = self.config.effective_shards(examples.len());
-        let mut order: Vec<u32> = (0..examples.len() as u32).collect();
-        for epoch in 0..self.config.epochs {
-            let mut rng = StdRng::seed_from_u64(genie_parallel::stream_seed(
-                self.config.seed,
-                TRAIN_SHUFFLE_STREAM,
-                epoch as u64,
-            ));
-            order.shuffle(&mut rng);
-            self.run_rounds(&prepared, &order, shards);
-        }
+        self.run_epochs(examples, self.config.epochs, TRAIN_SHUFFLE_STREAM);
     }
 
     /// Delta-train for a live skill update: continue from the current
@@ -433,14 +559,23 @@ impl LuinetParser {
         let stream = FINE_TUNE_SHUFFLE_STREAM ^ self.updates;
         if self.updates > 0 {
             let updates = self.updates as f64;
-            for (weight, total) in self.weights.iter_mut().zip(&mut self.totals) {
+            for (_, weight, total) in &mut self.entries {
                 *weight = (f64::from(*weight) - *total / updates) as f32;
                 *total = 0.0;
             }
             self.updates = 0;
         }
+        self.run_epochs(examples, epochs, stream);
+    }
+
+    /// `epochs` shuffled passes over `examples` (the shuffle of epoch `e`
+    /// seeded by `(config.seed, stream, e)`) on dense scratch arrays
+    /// rebuilt from the sparse entries, then installed back as sparse
+    /// entries.
+    fn run_epochs(&mut self, examples: &[ParserExample], epochs: usize, stream: u64) {
         let prepared = self.prepare_examples(examples);
         let shards = self.config.effective_shards(examples.len());
+        let mut dense = DenseParams::from_entries(&self.entries);
         let mut order: Vec<u32> = (0..examples.len() as u32).collect();
         for epoch in 0..epochs {
             let mut rng = StdRng::seed_from_u64(genie_parallel::stream_seed(
@@ -449,8 +584,9 @@ impl LuinetParser {
                 epoch as u64,
             ));
             order.shuffle(&mut rng);
-            self.run_rounds(&prepared, &order, shards);
+            self.run_rounds(&mut dense, &prepared, &order, shards);
         }
+        self.install(dense.into_entries());
     }
 
     /// Absorb the training programs into the transition model and the
@@ -492,12 +628,19 @@ impl LuinetParser {
     /// their deltas before the next round starts, bounding how stale a
     /// shard's snapshot can get (the per-round cadence is what keeps mixed
     /// training competitive with the sequential perceptron).
-    fn run_rounds(&mut self, prepared: &[PreparedExample], order: &[u32], shards: usize) {
+    fn run_rounds(
+        &mut self,
+        dense: &mut DenseParams,
+        prepared: &[PreparedExample],
+        order: &[u32],
+        shards: usize,
+    ) {
         let round_len = shards * TRAIN_ROUND_EXAMPLES;
         for round in order.chunks(round_len) {
             let chunks: Vec<&[u32]> = round.chunks(round.len().div_ceil(shards)).collect();
+            let snapshot: &DenseParams = dense;
             let deltas = genie_parallel::par_map(self.config.threads, &chunks, |_, chunk| {
-                self.train_shard(chunk, prepared)
+                self.train_shard(snapshot, chunk, prepared)
             });
             // Merge in shard order: the result is a function of the shard
             // partition alone, so the worker count can never change the
@@ -505,9 +648,7 @@ impl LuinetParser {
             let mut step_sum = 0u64;
             for delta in &deltas {
                 for (&bucket, &(dw, dt)) in &delta.deltas {
-                    let bucket = bucket as usize;
-                    self.weights[bucket] = (self.weights[bucket] as f64 + dw) as f32;
-                    self.totals[bucket] += dt;
+                    dense.add(bucket as usize, dw, dt);
                 }
                 step_sum += delta.steps;
             }
@@ -516,10 +657,15 @@ impl LuinetParser {
     }
 
     /// Train one shard of one mixing round: accumulate sparse weight deltas
-    /// against the round-start snapshot (`self.weights`, re-merged after
-    /// every round), scoring each candidate as snapshot + local delta so the
+    /// against the round-start snapshot (`dense`, re-merged after every
+    /// round), scoring each candidate as snapshot + local delta so the
     /// shard behaves exactly like a sequential perceptron over its chunk.
-    fn train_shard(&self, chunk: &[u32], prepared: &[PreparedExample]) -> ShardDelta {
+    fn train_shard(
+        &self,
+        dense: &DenseParams,
+        chunk: &[u32],
+        prepared: &[PreparedExample],
+    ) -> ShardDelta {
         let mut delta = ShardDelta::default();
         let mut buckets: Vec<usize> = Vec::with_capacity(24);
         for &index in chunk {
@@ -528,8 +674,13 @@ impl LuinetParser {
             let mut prev2 = self.bos;
             for (position, &(gold, gold_hash)) in example.gold.iter().enumerate() {
                 let step = StepContext::new(&example.index, prev1, prev2, position);
-                let (predicted, predicted_hash) =
-                    self.best_candidate(&step, &example.index, Some((gold, gold_hash)), &delta);
+                let (predicted, predicted_hash) = self.best_candidate(
+                    dense,
+                    &step,
+                    &example.index,
+                    Some((gold, gold_hash)),
+                    &delta,
+                );
                 delta.steps += 1;
                 let stamp = (self.updates + delta.steps) as f64;
                 if predicted != gold {
@@ -595,6 +746,7 @@ impl LuinetParser {
     #[inline]
     fn score_train(
         &self,
+        dense: &DenseParams,
         step: &StepContext<'_>,
         candidate: Symbol,
         candidate_hash: u64,
@@ -607,26 +759,57 @@ impl LuinetParser {
                 .get(&(bucket as u32))
                 .map(|&(dw, _)| dw)
                 .unwrap_or(0.0);
-            score += self.weights[bucket] as f64 + local;
+            score += dense.weights[bucket] as f64 + local;
         });
         score + self.lm_score(step, candidate)
     }
 
-    /// Averaged-weight score of one candidate at decode time.
+    /// Averaged-weight score of one candidate at decode time, with its
+    /// candidate-only bucket values memoized for the rest of the call.
     #[inline]
-    fn score_decode(&self, step: &StepContext<'_>, candidate: Symbol, candidate_hash: u64) -> f64 {
-        let mut score = 0.0;
-        if self.updates > 0 {
-            let updates = self.updates as f64;
-            step.for_each_bucket(candidate, candidate_hash, |bucket| {
-                score += self.weights[bucket] as f64 - self.totals[bucket] / updates;
-            });
-        } else {
-            step.for_each_bucket(candidate, candidate_hash, |bucket| {
-                score += self.weights[bucket] as f64;
-            });
+    fn score_decode(
+        &self,
+        memo: &mut CandidateMemo,
+        step: &StepContext<'_>,
+        candidate: Symbol,
+        candidate_hash: u64,
+    ) -> f64 {
+        let index = step.index();
+        let values = &mut memo.values;
+        let start = *memo.offsets.entry(candidate).or_insert_with(|| {
+            let start = values.len() as u32;
+            index.candidate_values(&self.averaged, candidate, candidate_hash, values);
+            start
+        }) as usize;
+        let cached = &values[start..start + index.candidate_value_count()];
+        step.score_cached(&self.averaged, candidate, candidate_hash, cached)
+            + self.lm_score(step, candidate)
+    }
+
+    /// The scored candidates of the step after `(prev2, prev1)` at
+    /// `position`, as a range of `memo.scores`: looked up when an earlier
+    /// step of this call had the same key, scored and recorded otherwise.
+    fn scored_step(
+        &self,
+        memo: &mut DecodeMemo<'_>,
+        prev1: Symbol,
+        prev2: Symbol,
+        position: usize,
+    ) -> Range<usize> {
+        let key = (prev2, prev1, position.min(POSITION_CAP) as u32);
+        if let Some(&(start, end)) = memo.steps.get(&key) {
+            return start as usize..end as usize;
         }
-        score + self.lm_score(step, candidate)
+        let index = memo.index;
+        let step = StepContext::new(index, prev1, prev2, position);
+        let start = memo.scores.len();
+        self.for_each_candidate(index, prev1, None, |candidate, hash| {
+            let score = self.score_decode(&mut memo.candidates, &step, candidate, hash);
+            memo.scores.push((candidate, score));
+        });
+        let end = memo.scores.len();
+        memo.steps.insert(key, (start as u32, end as u32));
+        start..end
     }
 
     #[inline]
@@ -644,6 +827,7 @@ impl LuinetParser {
     /// ties, which the deterministic candidate order makes reproducible).
     fn best_candidate(
         &self,
+        dense: &DenseParams,
         step: &StepContext<'_>,
         index: &SentenceIndex,
         gold: Option<(Symbol, u64)>,
@@ -652,7 +836,7 @@ impl LuinetParser {
         let mut best = (self.eos, self.eos_hash);
         let mut best_score = f64::NEG_INFINITY;
         self.for_each_candidate(index, step.prev1(), gold, |candidate, hash| {
-            let score = self.score_train(step, candidate, hash, delta);
+            let score = self.score_train(dense, step, candidate, hash, delta);
             if score > best_score {
                 best_score = score;
                 best = (candidate, hash);
@@ -664,7 +848,7 @@ impl LuinetParser {
     /// Greedy averaged-weight decode; returns the tokens and the
     /// length-normalized sequence score (the mean per-step score including
     /// the final end-of-sequence step).
-    fn decode_greedy(&self, index: &SentenceIndex) -> (Vec<Symbol>, f64) {
+    fn decode_greedy(&self, memo: &mut DecodeMemo<'_>) -> (Vec<Symbol>, f64) {
         let mut out: Vec<Symbol> = Vec::new();
         let mut prev1 = self.bos;
         let mut prev2 = self.bos;
@@ -672,31 +856,30 @@ impl LuinetParser {
         let mut steps = 0usize;
         let mut ended = false;
         for position in 0..self.config.max_length {
-            let step = StepContext::new(index, prev1, prev2, position);
-            let mut best = (self.eos, self.eos_hash);
+            let mut best = self.eos;
             let mut best_score = f64::NEG_INFINITY;
-            self.for_each_candidate(index, prev1, None, |candidate, hash| {
-                let score = self.score_decode(&step, candidate, hash);
+            let scored = self.scored_step(memo, prev1, prev2, position);
+            for &(candidate, score) in &memo.scores[scored] {
                 if score > best_score {
                     best_score = score;
-                    best = (candidate, hash);
+                    best = candidate;
                 }
-            });
+            }
             total += best_score;
             steps += 1;
-            if best.0 == self.eos {
+            if best == self.eos {
                 ended = true;
                 break;
             }
-            out.push(best.0);
+            out.push(best);
             prev2 = prev1;
-            prev1 = best.0;
+            prev1 = best;
         }
         if !ended {
             // Score the closing end-of-sequence step the decode never took,
             // so normalized scores stay comparable with finished sequences.
-            let step = StepContext::new(index, prev1, prev2, out.len());
-            total += self.score_decode(&step, self.eos, self.eos_hash);
+            let step = StepContext::new(memo.index, prev1, prev2, out.len());
+            total += self.score_decode(&mut memo.candidates, &step, self.eos, self.eos_hash);
             steps += 1;
         }
         (out, total / steps.max(1) as f64)
@@ -706,7 +889,7 @@ impl LuinetParser {
     /// weights).
     pub fn predict(&self, sentence: &[Symbol]) -> Vec<String> {
         let index = SentenceIndex::build(sentence);
-        let (tokens, _) = self.decode_greedy(&index);
+        let (tokens, _) = self.decode_greedy(&mut DecodeMemo::new(&index));
         resolve_tokens(&tokens)
     }
 
@@ -725,7 +908,8 @@ impl LuinetParser {
     /// property the serving cache depends on.
     pub fn predict_topk(&self, sentence: &[Symbol], k: usize) -> Vec<ScoredPrediction> {
         let index = SentenceIndex::build(sentence);
-        let (greedy_tokens, greedy_score) = self.decode_greedy(&index);
+        let mut memo = DecodeMemo::new(&index);
+        let (greedy_tokens, greedy_score) = self.decode_greedy(&mut memo);
         let greedy_tokens = resolve_tokens(&greedy_tokens);
         let mut out = vec![ScoredPrediction {
             tokens: greedy_tokens,
@@ -735,7 +919,7 @@ impl LuinetParser {
             return out;
         }
         let mut arena = BeamArena::default();
-        for hypothesis in self.beam(&index, k, &mut arena) {
+        for hypothesis in self.beam(&mut memo, k, &mut arena) {
             if out.len() >= k {
                 break;
             }
@@ -754,7 +938,7 @@ impl LuinetParser {
     /// ranked by length-normalized score.
     fn beam(
         &self,
-        index: &SentenceIndex,
+        memo: &mut DecodeMemo<'_>,
         beam_width: usize,
         arena: &mut BeamArena,
     ) -> Vec<Hypothesis> {
@@ -769,6 +953,7 @@ impl LuinetParser {
             finished: false,
         }];
         let mut next: Vec<Hypothesis> = Vec::with_capacity(beam_width * 8);
+        let mut kept: Vec<Hypothesis> = Vec::with_capacity(beam_width);
         for position in 0..self.config.max_length {
             if beam.iter().all(|h| h.finished) {
                 break;
@@ -779,9 +964,8 @@ impl LuinetParser {
                     next.push(*hypothesis);
                     continue;
                 }
-                let step = StepContext::new(index, hypothesis.prev1, hypothesis.prev2, position);
-                self.for_each_candidate(index, hypothesis.prev1, None, |candidate, hash| {
-                    let score = self.score_decode(&step, candidate, hash);
+                let scored = self.scored_step(memo, hypothesis.prev1, hypothesis.prev2, position);
+                for &(candidate, score) in &memo.scores[scored] {
                     let mut extended = *hypothesis;
                     extended.score += score;
                     extended.steps += 1;
@@ -794,19 +978,19 @@ impl LuinetParser {
                         extended.len += 1;
                     }
                     next.push(extended);
-                });
+                }
             }
             // Deterministic pruning: normalized score descending, token
             // sequence (by resolved text) as the tie-break — no hash-order
             // or float-equality ambiguity, no dependence on symbol ids.
-            next.sort_by(|a, b| {
-                b.normalized()
-                    .partial_cmp(&a.normalized())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| arena.cmp_seq(interner, a, b))
-            });
-            next.dedup_by(|a, b| a.finished == b.finished && arena.seq_eq(interner, a, b));
-            next.truncate(beam_width);
+            select_top(
+                &mut next,
+                beam_width,
+                &mut kept,
+                Hypothesis::normalized,
+                |a, b| arena.cmp_seq(interner, a, b),
+                |a, b| a.finished == b.finished && arena.seq_eq(interner, a, b),
+            );
             std::mem::swap(&mut beam, &mut next);
         }
         beam
@@ -866,7 +1050,7 @@ impl LuinetParser {
         let interner: &'static genie_nlp::Interner = genie_nlp::intern::shared();
         let correct = genie_parallel::par_map(self.config.threads, examples, |_, example| {
             let index = SentenceIndex::build(&example.sentence);
-            let (tokens, _) = self.decode_greedy(&index);
+            let (tokens, _) = self.decode_greedy(&mut DecodeMemo::new(&index));
             tokens.len() == example.program.len()
                 && tokens
                     .iter()
@@ -878,6 +1062,58 @@ impl LuinetParser {
         .count();
         correct as f64 / examples.len() as f64
     }
+}
+
+/// Keep in `items` its first `width` items after a stable sort (by `key`
+/// descending, then `tie`), a `dedup_by(same)` and a truncation — the
+/// beam's pruning — without sorting them all.
+///
+/// One insertion pass keeps the best `width` items seen so far in sorted,
+/// stable order; most items lose a single comparison against the worst
+/// survivor. That buffer is exactly the first `width` items of the stable
+/// sort whenever `key` orders every item (no NaN). Dedup removes an item
+/// only next to its retained twin, so it can change the first `width`
+/// only through a `same` pair adjacent among them. In either case
+/// (a NaN key, or such a pair) this runs the full sort → dedup → truncate
+/// instead, so the result always equals it.
+fn select_top<T: Copy>(
+    items: &mut Vec<T>,
+    width: usize,
+    kept: &mut Vec<T>,
+    key: impl Fn(&T) -> f64,
+    tie: impl Fn(&T, &T) -> Ordering,
+    same: impl Fn(&T, &T) -> bool,
+) {
+    let cmp = |a: &T, b: &T| {
+        key(b)
+            .partial_cmp(&key(a))
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| tie(a, b))
+    };
+    kept.clear();
+    if width > 0 && !items.iter().any(|item| key(item).is_nan()) {
+        for item in items.iter() {
+            if kept.len() == width && cmp(&kept[width - 1], item) != Ordering::Greater {
+                continue;
+            }
+            let mut slot = kept.len();
+            while slot > 0 && cmp(&kept[slot - 1], item) == Ordering::Greater {
+                slot -= 1;
+            }
+            if kept.len() == width {
+                kept.pop();
+            }
+            kept.insert(slot, *item);
+        }
+        if !kept.windows(2).any(|pair| same(&pair[1], &pair[0])) {
+            items.clear();
+            items.extend_from_slice(kept);
+            return;
+        }
+    }
+    items.sort_by(cmp);
+    items.dedup_by(|a, b| same(a, b));
+    items.truncate(width);
 }
 
 /// Resolve decoded symbols to owned token text (the public API boundary).
@@ -893,6 +1129,8 @@ fn resolve_tokens(tokens: &[Symbol]) -> Vec<String> {
 mod tests {
     use super::*;
     use genie_nlp::intern::TokenStream;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn stream(s: &str) -> TokenStream {
         genie_nlp::intern::shared().stream_of(s)
@@ -1213,6 +1451,312 @@ mod tests {
             sequential > 0.9,
             "sequential accuracy too low: {sequential}"
         );
+    }
+
+    /// The trained parameters are pinned digests for these training sets,
+    /// so a change to how weights are stored, or rebuilt between passes,
+    /// must leave training unchanged bit for bit.
+    #[test]
+    fn weights_digests_are_pinned() {
+        let config = ModelConfig {
+            epochs: 10,
+            seed: 3,
+            threads: 1,
+            ..ModelConfig::default()
+        };
+        let mut rehearsal: Vec<ParserExample> = ["show", "get"]
+            .iter()
+            .map(|verb| {
+                ParserExample::from_strs(
+                    &format!("{verb} me my instagram stuff"),
+                    "now => @com.instagram.feed ( ) => notify",
+                )
+            })
+            .collect();
+        rehearsal.extend(training_set());
+
+        let mut parser = LuinetParser::new(config);
+        parser.train(&training_set());
+        assert_eq!(
+            parser.weights_digest(),
+            0x4240_57ff_7b78_328c,
+            "after train"
+        );
+        let mut loaded = crate::snapshot::from_bytes(&crate::snapshot::to_bytes(&parser)).unwrap();
+        parser.fine_tune(&rehearsal, 3);
+        assert_eq!(
+            parser.weights_digest(),
+            0x614a_d4f5_dab5_5c5a,
+            "after train → fine_tune"
+        );
+        loaded.fine_tune(&rehearsal, 3);
+        assert_eq!(
+            loaded.weights_digest(),
+            0x614a_d4f5_dab5_5c5a,
+            "after save → load → fine_tune"
+        );
+
+        let mut sharded = LuinetParser::new(ModelConfig {
+            epochs: 3,
+            seed: 7,
+            threads: 1,
+            train_shards: 4,
+            ..ModelConfig::default()
+        });
+        sharded.train(&sharded_training_set());
+        assert_eq!(
+            sharded.weights_digest(),
+            0xa3c7_0cb8_a332_b2a5,
+            "after sharded train"
+        );
+    }
+
+    /// The plain decoder the memoized one replaced: every candidate scored
+    /// from scratch by per-bucket lookups over
+    /// [`StepContext::for_each_bucket`] (each value computed from the raw
+    /// entries as `weight - total / updates`), greedy top-1, then a beam
+    /// pruned by a full stable sort → dedup → truncate.
+    fn reference_topk(parser: &LuinetParser, sentence: &[Symbol], k: usize) -> Vec<(String, u64)> {
+        let params: HashMap<usize, (f32, f64)> = parser
+            .entries
+            .iter()
+            .map(|&(bucket, weight, total)| (bucket as usize, (weight, total)))
+            .collect();
+        let updates = parser.updates as f64;
+        let score = |step: &StepContext<'_>, candidate: Symbol, hash: u64| {
+            let mut score = 0.0;
+            step.for_each_bucket(candidate, hash, |bucket| {
+                let (weight, total) = params.get(&bucket).copied().unwrap_or((0.0, 0.0));
+                score += if parser.updates > 0 {
+                    weight as f64 - total / updates
+                } else {
+                    weight as f64
+                };
+            });
+            score + parser.lm_score(step, candidate)
+        };
+        let index = SentenceIndex::build(sentence);
+
+        let (mut prev1, mut prev2) = (parser.bos, parser.bos);
+        let mut greedy = Vec::new();
+        let (mut total, mut steps, mut ended) = (0.0, 0usize, false);
+        for position in 0..parser.config.max_length {
+            let step = StepContext::new(&index, prev1, prev2, position);
+            let (mut best, mut best_score) = (parser.eos, f64::NEG_INFINITY);
+            parser.for_each_candidate(&index, prev1, None, |candidate, hash| {
+                let value = score(&step, candidate, hash);
+                if value > best_score {
+                    best_score = value;
+                    best = candidate;
+                }
+            });
+            total += best_score;
+            steps += 1;
+            if best == parser.eos {
+                ended = true;
+                break;
+            }
+            greedy.push(best);
+            prev2 = prev1;
+            prev1 = best;
+        }
+        if !ended {
+            let step = StepContext::new(&index, prev1, prev2, greedy.len());
+            total += score(&step, parser.eos, parser.eos_hash);
+            steps += 1;
+        }
+        let mut out = vec![(resolve_tokens(&greedy), total / steps.max(1) as f64)];
+
+        if k > 1 {
+            let interner = genie_nlp::intern::shared();
+            let mut arena = BeamArena::default();
+            let mut beam = vec![Hypothesis {
+                tail: 0,
+                len: 0,
+                prev1: parser.bos,
+                prev2: parser.bos,
+                score: 0.0,
+                steps: 0,
+                finished: false,
+            }];
+            for position in 0..parser.config.max_length {
+                if beam.iter().all(|h| h.finished) {
+                    break;
+                }
+                let mut next = Vec::new();
+                for hypothesis in &beam {
+                    if hypothesis.finished {
+                        next.push(*hypothesis);
+                        continue;
+                    }
+                    let step =
+                        StepContext::new(&index, hypothesis.prev1, hypothesis.prev2, position);
+                    parser.for_each_candidate(&index, hypothesis.prev1, None, |candidate, hash| {
+                        let mut extended = *hypothesis;
+                        extended.score += score(&step, candidate, hash);
+                        extended.steps += 1;
+                        if candidate == parser.eos {
+                            extended.finished = true;
+                        } else {
+                            extended.prev2 = extended.prev1;
+                            extended.prev1 = candidate;
+                            extended.tail = arena.push(hypothesis.tail, candidate);
+                            extended.len += 1;
+                        }
+                        next.push(extended);
+                    });
+                }
+                next.sort_by(|a, b| {
+                    b.normalized()
+                        .partial_cmp(&a.normalized())
+                        .unwrap_or(Ordering::Equal)
+                        .then_with(|| arena.cmp_seq(interner, a, b))
+                });
+                next.dedup_by(|a, b| a.finished == b.finished && arena.seq_eq(interner, a, b));
+                next.truncate(k);
+                beam = next;
+            }
+            for hypothesis in beam {
+                if out.len() >= k {
+                    break;
+                }
+                let tokens =
+                    resolve_tokens(&arena.materialize(hypothesis.tail, hypothesis.len as usize));
+                if !out.iter().any(|(seen, _)| *seen == tokens) {
+                    out.push((tokens, hypothesis.normalized()));
+                }
+            }
+        }
+        out.into_iter()
+            .map(|(tokens, score)| (tokens.join(" "), score.to_bits()))
+            .collect()
+    }
+
+    fn bits(predictions: Vec<ScoredPrediction>) -> Vec<(String, u64)> {
+        predictions
+            .into_iter()
+            .map(|p| (p.tokens.join(" "), p.score.to_bits()))
+            .collect()
+    }
+
+    /// The memoized decoder (sparse table, candidate-value memo, step memo,
+    /// top-k selection) matches the plain reference in tokens and score
+    /// bits, for greedy and beam decoding, on trained parsers (with and
+    /// without the pretrained LM, and one whose short length cap cuts most
+    /// decodes before they end) and on an untrained one.
+    #[test]
+    fn memoized_decode_matches_the_plain_reference() {
+        let mut examples = training_set();
+        examples.extend(sharded_training_set());
+        let mut sentences: Vec<TokenStream> = examples.iter().map(|e| e.sentence.clone()).collect();
+        for text in [
+            "tweet deadline extended again",
+            "tweet the the the of of",
+            "hey show me my gmail stuff thanks",
+            "notify me when my spotify entries change",
+            "fetch me my weather and my news",
+            "",
+        ] {
+            sentences.push(stream(text));
+        }
+        assert!(sentences.len() >= 200);
+
+        let mut lm = ProgramLm::new();
+        lm.train(examples.iter().map(|e| &e.program));
+        let mut with_lm = LuinetParser::new(ModelConfig {
+            epochs: 3,
+            seed: 4,
+            threads: 1,
+            ..ModelConfig::default()
+        })
+        .with_pretrained_lm(lm);
+        with_lm.train(&examples);
+        let mut short = LuinetParser::new(ModelConfig {
+            epochs: 2,
+            seed: 5,
+            threads: 1,
+            max_length: 5,
+            ..ModelConfig::default()
+        });
+        short.train(&training_set());
+        let untrained = LuinetParser::new(ModelConfig::default());
+
+        for (name, parser, count) in [
+            ("with_lm", &with_lm, sentences.len()),
+            ("short", &short, 40),
+            ("untrained", &untrained, 10),
+        ] {
+            for sentence in &sentences[sentences.len() - count..] {
+                for k in [1, 3, 8] {
+                    let expected = reference_topk(parser, sentence, k);
+                    assert_eq!(
+                        bits(parser.predict_topk(sentence, k)),
+                        expected,
+                        "{name}: k={k}"
+                    );
+                    assert_eq!(parser.predict(sentence).join(" "), expected[0].0, "{name}");
+                }
+            }
+        }
+    }
+
+    /// The beam's top-`k` selection equals sort → dedup → truncate on
+    /// seeded inputs built to collide: few distinct scores (ties), few
+    /// distinct sequences (repeats, which dedup removes), mixed finished
+    /// flags, and widths below, at and above the input length. Each item
+    /// carries its input position, so stability is checked too.
+    #[test]
+    fn top_k_selection_equals_sort_dedup_truncate() {
+        type Item = (f64, u8, bool, u16);
+        let tie = |a: &Item, b: &Item| a.1.cmp(&b.1);
+        let same = |a: &Item, b: &Item| a.2 == b.2 && a.1 == b.1;
+        let mut rng = StdRng::seed_from_u64(0x5e1ec7);
+        let mut kept = Vec::new();
+        let mut fallbacks = 0;
+        for round in 0..2000 {
+            let len = rand::Rng::gen_range(&mut rng, 0..40usize);
+            let distinct_scores = rand::Rng::gen_range(&mut rng, 1..6u32);
+            let distinct_seqs = rand::Rng::gen_range(&mut rng, 1..60u8);
+            let items: Vec<Item> = (0..len)
+                .map(|i| {
+                    let score = f64::from(rand::Rng::gen_range(&mut rng, 0..distinct_scores));
+                    let seq = rand::Rng::gen_range(&mut rng, 0..distinct_seqs);
+                    (
+                        score - 2.0,
+                        seq,
+                        rand::Rng::gen_bool(&mut rng, 0.3),
+                        i as u16,
+                    )
+                })
+                .collect();
+            let width = rand::Rng::gen_range(&mut rng, 0..12usize);
+
+            let mut expected = items.clone();
+            expected.sort_by(|a, b| {
+                b.0.partial_cmp(&a.0)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| tie(a, b))
+            });
+            let deduped_len = {
+                let mut deduped = expected.clone();
+                deduped.dedup_by(|a, b| same(a, b));
+                deduped.len()
+            };
+            if deduped_len != expected.len() {
+                fallbacks += 1;
+            }
+            expected.dedup_by(|a, b| same(a, b));
+            expected.truncate(width);
+
+            let mut selected = items.clone();
+            select_top(&mut selected, width, &mut kept, |item| item.0, tie, same);
+            assert_eq!(
+                selected, expected,
+                "round {round}: width {width}, items {items:?}"
+            );
+        }
+        // The inputs really do exercise dedup.
+        assert!(fallbacks > 100, "only {fallbacks} rounds had duplicates");
     }
 
     #[test]

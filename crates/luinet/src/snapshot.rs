@@ -54,6 +54,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GENSNAP1";
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
+/// Bytes of one stored weight entry: bucket `u32`, weight `f32`, total
+/// `f64`.
+const WEIGHT_ENTRY_BYTES: usize = 16;
+
 /// Write-side symbol mapper: live arena [`Symbol`] → local string-table id,
 /// assigning table ids in serialization order (which the text-sorted
 /// section walks make process-history-independent).
@@ -103,19 +107,11 @@ pub fn to_bytes(parser: &LuinetParser) -> Vec<u8> {
 
     // Sparse averaged-perceptron state: exactly the buckets the digest
     // folds, in ascending bucket order, as raw IEEE bit patterns.
-    let nonzero = parser
-        .weights
-        .iter()
-        .zip(&parser.totals)
-        .filter(|&(&w, &t)| w != 0.0 || t != 0.0)
-        .count();
-    put_u32(&mut body, nonzero as u32);
-    for (bucket, (&weight, &total)) in parser.weights.iter().zip(&parser.totals).enumerate() {
-        if weight != 0.0 || total != 0.0 {
-            put_u32(&mut body, bucket as u32);
-            put_f32(&mut body, weight);
-            put_f64(&mut body, total);
-        }
+    put_u32(&mut body, parser.entries.len() as u32);
+    for &(bucket, weight, total) in &parser.entries {
+        put_u32(&mut body, bucket);
+        put_f32(&mut body, weight);
+        put_f64(&mut body, total);
     }
 
     // The transition model and the optional pretrained LM.
@@ -207,19 +203,33 @@ pub fn from_bytes(buf: &[u8]) -> ColfmtResult<LuinetParser> {
     }
     let vocab = Vocab::from_symbols(vocab_symbols);
 
-    // Dense weight/total arrays from the sparse entries.
-    let mut weights = vec![0.0f32; FEATURE_BUCKETS];
-    let mut totals = vec![0.0f64; FEATURE_BUCKETS];
+    // The sparse weight entries, kept sparse. Buckets must be strictly
+    // ascending: a repeated or out-of-order bucket would otherwise let a
+    // later entry silently shadow an earlier one. All-zero entries (which
+    // the writer never emits) carry no parameter and are dropped, so the
+    // entries stay exactly the set the digest folds.
     let count = reader.u32()? as usize;
+    let mut entries = Vec::with_capacity(reader.capacity_hint(count, WEIGHT_ENTRY_BYTES));
+    let mut previous: Option<u32> = None;
     for _ in 0..count {
-        let bucket = reader.u32()? as usize;
-        if bucket >= FEATURE_BUCKETS {
+        let bucket = reader.u32()?;
+        if bucket as usize >= FEATURE_BUCKETS {
             return Err(ColfmtError::Corrupt(format!(
                 "model snapshot: weight bucket {bucket} out of range ({FEATURE_BUCKETS} buckets)"
             )));
         }
-        weights[bucket] = reader.f32()?;
-        totals[bucket] = reader.f64()?;
+        if let Some(previous) = previous.filter(|&previous| bucket <= previous) {
+            return Err(ColfmtError::Corrupt(format!(
+                "model snapshot: weight bucket {bucket} after bucket {previous} \
+                 (entries must be strictly ascending)"
+            )));
+        }
+        previous = Some(bucket);
+        let weight = reader.f32()?;
+        let total = reader.f64()?;
+        if weight != 0.0 || total != 0.0 {
+            entries.push((bucket, weight, total));
+        }
     }
 
     let transitions = read_lm(&mut reader, &symbols)?;
@@ -265,11 +275,11 @@ pub fn from_bytes(buf: &[u8]) -> ColfmtResult<LuinetParser> {
         )));
     }
 
-    Ok(LuinetParser {
+    let mut parser = LuinetParser {
         config,
         vocab,
-        weights,
-        totals,
+        entries: Vec::new(),
+        averaged: Default::default(),
         updates,
         transitions,
         compiled: CompiledTransitions { map },
@@ -278,7 +288,9 @@ pub fn from_bytes(buf: &[u8]) -> ColfmtResult<LuinetParser> {
         bos: bos_symbol(),
         eos: eos_symbol(),
         eos_hash: cand_hash(crate::vocab::EOS),
-    })
+    };
+    parser.install(entries);
+    Ok(parser)
 }
 
 /// Load a parser from a snapshot file.
@@ -524,6 +536,42 @@ mod tests {
             Err(ColfmtError::Io(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A repeated or out-of-order weight bucket is a typed error, never a
+    /// later entry silently shadowing an earlier one.
+    #[test]
+    fn weight_buckets_must_be_strictly_ascending() {
+        let parser = trained_parser();
+        assert!(parser.entries.len() >= 2);
+        let mut swapped = trained_parser();
+        swapped.entries.swap(0, 1);
+        let mut repeated = trained_parser();
+        repeated.entries[1].0 = repeated.entries[0].0;
+        for (name, bad) in [("swapped", swapped), ("repeated", repeated)] {
+            match from_bytes(&to_bytes(&bad)) {
+                Err(ColfmtError::Corrupt(detail)) => {
+                    assert!(detail.contains("strictly ascending"), "{name}: {detail}");
+                }
+                other => panic!("{name}: expected Corrupt, got Ok? {:?}", other.is_ok()),
+            }
+        }
+    }
+
+    /// A weight count far beyond what the buffer holds fails as truncated
+    /// input; the entry vector is sized by what the remaining bytes can
+    /// hold, not by the claimed count (4 billion entries would be 64 GB).
+    #[test]
+    fn a_huge_weight_count_is_corrupt_without_a_huge_allocation() {
+        let mut parser = LuinetParser::new(ModelConfig::default());
+        let empty = to_bytes(&parser);
+        parser.entries.push((7, 1.0, 0.0));
+        let one = to_bytes(&parser);
+        // The two layouts first differ at the weight count's low byte.
+        let at = empty.iter().zip(&one).position(|(a, b)| a != b).unwrap();
+        let mut bytes = empty;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(from_bytes(&bytes), Err(ColfmtError::Corrupt(_))));
     }
 
     #[test]
