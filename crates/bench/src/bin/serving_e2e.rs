@@ -456,9 +456,16 @@ fn main() {
 
     // In-process reference through the server's own rendering functions:
     // this is the byte-identity oracle.
+    let results = engine.parse_batch(&workload);
+    // Validation errors (the empty utterances) are the only answers the
+    // response cache never holds.
+    let uncacheable = results
+        .iter()
+        .filter(|result| matches!(result, Err(error) if error.rejected_candidates().is_none()))
+        .count() as u64;
     let expected: Vec<(String, u16, String)> = workload
         .iter()
-        .zip(engine.parse_batch(&workload))
+        .zip(results)
         .map(|(request, result)| {
             let (status, _, body) = api::render_result(&result);
             (request.utterance.clone(), status, body)
@@ -484,6 +491,8 @@ fn main() {
     // cache; the last pass is the measured steady state.
     let mut measured_micros: Vec<f64> = Vec::new();
     let mut measured_secs = 0.0f64;
+    // (coalesced requests, cache hits) after each pass.
+    let mut counts: Vec<(u64, u64)> = Vec::with_capacity(passes);
     for pass in 0..passes {
         let start = Instant::now();
         let handles: Vec<_> = (0..clients)
@@ -502,6 +511,11 @@ fn main() {
             micros.extend(handle.join().expect("client thread"));
         }
         let secs = start.elapsed().as_secs_f64();
+        let metrics = server.metrics_text();
+        counts.push((
+            scrape_metric(&metrics, "server_coalesced_requests_total"),
+            scrape_metric(&metrics, "engine_cache_hits_total"),
+        ));
         if pass + 1 == passes {
             measured_micros = micros;
             measured_secs = secs;
@@ -519,13 +533,27 @@ fn main() {
         expected.len(),
     );
 
+    // Exact accounting: the first pass queues at most one coalesced parse
+    // per request. Every later pass answers each cached answer (responses
+    // and typed no-parses) on the acceptor thread; only the validation
+    // errors, which never reach the cache, queue into the coalescer again.
+    let cacheable = expected.len() as u64 - uncacheable;
+    assert!(counts[0].0 <= expected.len() as u64);
+    for pair in counts.windows(2) {
+        let ((coalesced_before, hits_before), (coalesced_after, hits_after)) = (pair[0], pair[1]);
+        assert_eq!(
+            coalesced_after - coalesced_before,
+            uncacheable,
+            "a repeated pass sent a cached answer through the coalescer"
+        );
+        assert_eq!(
+            hits_after - hits_before,
+            cacheable,
+            "a repeated pass must answer every cacheable request from the cache"
+        );
+    }
     let metrics = server.metrics_text();
     let coalesced = scrape_metric(&metrics, "server_coalesced_requests_total");
-    assert_eq!(
-        coalesced,
-        (passes * expected.len()) as u64,
-        "every single-request parse must flow through the coalescer"
-    );
     let batches = scrape_metric(&metrics, "server_coalesce_batches_total");
     let max_batch = scrape_metric(&metrics, "server_coalesce_max_batch");
     println!(

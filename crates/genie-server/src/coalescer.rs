@@ -1,8 +1,9 @@
 //! The micro-batch coalescing queue.
 //!
-//! Concurrent `POST /v1/parse` requests land here as jobs. One dispatcher
-//! thread gathers jobs under the configured latency budget (or until the
-//! batch cap) and serves the whole micro-batch through
+//! Concurrent `POST /v1/parse` requests that miss the response cache land
+//! here as jobs. One dispatcher thread takes every job already queued, then
+//! waits for more until the configured window closes (or the batch cap is
+//! reached), and serves the whole micro-batch through
 //! [`genie::GenieEngine::parse_batch`] — the deterministic batch path
 //! (an order-preserving `genie-parallel` fan-out of the same per-request
 //! pipeline `predict_topk_batch` maps over, sharing the engine's response
@@ -29,7 +30,7 @@
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -176,21 +177,26 @@ fn dispatch_loop(
             return; // queue closed and fully drained
         };
         let mut batch = vec![first];
-        // …then gather whatever else arrives inside the latency budget.
+        // …then take whatever is already queued, and wait for more only
+        // while the window is open. A zero window never waits, but still
+        // batches the jobs that queued while the engine was busy.
         let gather_deadline = Instant::now() + window;
         while batch.len() < max_batch {
-            let now = Instant::now();
-            let Some(budget) = gather_deadline
-                .checked_duration_since(now)
-                .filter(|b| !b.is_zero())
-            else {
-                break;
+            let job = match receiver.try_recv() {
+                Ok(job) => job,
+                Err(TryRecvError::Disconnected) => break,
+                Err(TryRecvError::Empty) => {
+                    let budget = gather_deadline.saturating_duration_since(Instant::now());
+                    if budget.is_zero() {
+                        break;
+                    }
+                    match receiver.recv_timeout(budget) {
+                        Ok(job) => job,
+                        Err(_) => break,
+                    }
+                }
             };
-            match receiver.recv_timeout(budget) {
-                Ok(job) => batch.push(job),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+            batch.push(job);
         }
         // Jobs already past their deadline get dropped here: their
         // submitters have answered 504 and gone, and the engine should not
@@ -227,5 +233,67 @@ fn dispatch_loop(
                 .panics
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use genie_nlp::failpoint::{self, FaultPlan, SiteSpec};
+    use luinet::{LuinetParser, ModelConfig, ParserExample};
+    use std::sync::atomic::Ordering;
+
+    fn tiny_engine() -> GenieEngine {
+        let mut parser = LuinetParser::new(ModelConfig {
+            epochs: 1,
+            threads: 1,
+            ..ModelConfig::default()
+        });
+        parser.train(&[ParserExample::from_strs("hello", "now => notify")]);
+        GenieEngine::builder()
+            .thingpedia(thingpedia::Thingpedia::builtin())
+            .model(parser)
+            .threads(1)
+            .build()
+            .unwrap()
+    }
+
+    /// A zero window does not wait, but it still drains: the jobs that
+    /// queued while a batch was executing dispatch together as the next
+    /// batch.
+    #[test]
+    fn a_zero_window_batches_the_jobs_queued_behind_a_busy_engine() {
+        let _serialized = failpoint::registry_test_lock();
+        // Hold the first batch inside its flush long enough for three more
+        // jobs to queue behind it.
+        let _armed = failpoint::armed(&FaultPlan::new(1).site(
+            "coalescer.flush",
+            SiteSpec::new().delay(1.0, 500).max_fires(1),
+        ));
+        let metrics = Arc::new(Metrics::default());
+        let coalescer =
+            Coalescer::start(tiny_engine(), Duration::ZERO, 32, metrics.clone()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        std::thread::scope(|scope| {
+            let coalescer = &coalescer;
+            let submit = move || {
+                coalescer
+                    .submit(ParseRequest::new("hello"), deadline)
+                    .unwrap()
+            };
+            let first = scope.spawn(submit);
+            while failpoint::fired("coalescer.flush") == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let queued: Vec<_> = (0..3).map(|_| scope.spawn(submit)).collect();
+            drop(first.join().unwrap());
+            for job in queued {
+                drop(job.join().unwrap());
+            }
+        });
+        coalescer.shutdown();
+        assert_eq!(metrics.coalesce_batches.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.coalesced_requests.load(Ordering::Relaxed), 4);
+        assert_eq!(metrics.coalesce_max_batch.load(Ordering::Relaxed), 3);
     }
 }

@@ -10,8 +10,9 @@ use std::time::Duration;
 
 use genie_templates::ConfigError;
 
-/// Default micro-batch latency budget.
-pub const DEFAULT_COALESCE_WINDOW: Duration = Duration::from_millis(2);
+/// Default micro-batch latency budget: none. A lone miss is dispatched at
+/// once; misses that queue while the engine is busy still share a batch.
+pub const DEFAULT_COALESCE_WINDOW: Duration = Duration::ZERO;
 /// Default cap on one coalesced micro-batch.
 pub const DEFAULT_MAX_COALESCE_BATCH: usize = 32;
 /// Default cap on a request body.

@@ -390,9 +390,18 @@ fn poll_primary(
                 response.status
             )));
         }
-        live.install_bundle(&response.body)
-            .map_err(PollError::Apply)?;
+        // Record the resync and the caught-up lag before installing: the
+        // install publishes the new version under the engine's world lock,
+        // so whoever reads that version also sees the metrics that go with
+        // it (relaxed stores suffice; the lock orders them). A failed
+        // install takes them back.
         metrics.replication_resyncs.fetch_add(1, Ordering::Relaxed);
+        metrics.replication_lag.store(0, Ordering::Relaxed);
+        if let Err(error) = live.install_bundle(&response.body) {
+            metrics.replication_resyncs.fetch_sub(1, Ordering::Relaxed);
+            metrics.replication_lag.store(lag, Ordering::Relaxed);
+            return Err(PollError::Apply(error));
+        }
     } else {
         for record in &feed.records {
             // Records must chain exactly; anything else waits for the next

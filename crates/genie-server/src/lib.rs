@@ -8,7 +8,7 @@
 //!
 //! | Endpoint | Behaviour |
 //! |---|---|
-//! | `POST /v1/parse` | One utterance; coalesced into a micro-batch |
+//! | `POST /v1/parse` | One utterance; a response-cache hit is answered on the acceptor thread, a miss is coalesced into a micro-batch |
 //! | `POST /v1/parse_batch` | A client-assembled batch; straight to the engine |
 //! | `POST /v1/admin/reload` | Apply a skill delta on a background builder: `202 Accepted` (or `{"wait": true}` for the swap report) ([`GenieServer::bind_live`] only) |
 //! | `GET /v1/admin/reload/status` | The reload runner's state and last outcome |

@@ -5,12 +5,14 @@
 //! `worker_threads` acceptor threads share one `TcpListener` (accepting
 //! from multiple threads is the classic pre-forked pattern — the kernel
 //! load-balances) and each owns its connection for the connection's
-//! lifetime, so a request's handler never migrates threads. Parse work
-//! does not happen on acceptor threads: single parses queue into the
-//! [`crate::coalescer::Coalescer`] (one dispatcher thread, micro-batched
-//! through `GenieEngine::parse_batch`), which is where the engine's own
-//! deterministic parallelism takes over. Reload rebuilds do not happen on
-//! acceptor threads either: they queue into the
+//! lifetime, so a request's handler never migrates threads. Decode work
+//! does not happen on acceptor threads: an acceptor answers a single parse
+//! itself only when `GenieEngine::cached` holds its verified answer (the
+//! lookup `parse` starts with, so the bytes are the same), and every miss
+//! queues into the [`crate::coalescer::Coalescer`] (one dispatcher thread,
+//! micro-batched through `GenieEngine::parse_batch`), which is where the
+//! engine's own deterministic parallelism takes over. Reload rebuilds do
+//! not happen on acceptor threads either: they queue into the
 //! [`crate::reload::ReloadRunner`]'s builder thread.
 //!
 //! # Supervision
@@ -569,41 +571,23 @@ fn route(shared: &Shared, peer: IpAddr, request: &Request) -> Outcome {
                 Ok(parse_request) => parse_request,
                 Err(error) => return codec_outcome(&error),
             };
-            let deadline = Instant::now() + shared.config.request_deadline;
-            match shared.coalescer.submit(parse_request, deadline) {
-                Ok(result) => {
-                    record_parse_result(shared, &result);
-                    let (status, reason, body) = api::render_result(&result);
-                    Outcome::json(status, reason, body)
+            // A cache hit (a response or a typed no-parse) is answered here,
+            // on the acceptor thread: it is the same verified entry `parse`
+            // would return, so only the wait for a micro-batch is skipped.
+            // Misses queue into the coalescer.
+            let result = match shared.engine.cached(&parse_request) {
+                Some(answer) => answer,
+                None => {
+                    let deadline = Instant::now() + shared.config.request_deadline;
+                    match shared.coalescer.submit(parse_request, deadline) {
+                        Ok(result) => result,
+                        Err(error) => return submit_error_outcome(shared, error),
+                    }
                 }
-                Err(SubmitError::ShuttingDown) => Outcome::error(
-                    503,
-                    "Service Unavailable",
-                    "shutting_down",
-                    "the server is draining and no longer accepts work",
-                ),
-                Err(SubmitError::DeadlineExceeded) => {
-                    shared
-                        .metrics
-                        .deadline_exceeded
-                        .fetch_add(1, Ordering::Relaxed);
-                    Outcome::error(
-                        504,
-                        "Gateway Timeout",
-                        "deadline_exceeded",
-                        &format!(
-                            "the request missed its {}ms deadline budget",
-                            shared.config.request_deadline.as_millis()
-                        ),
-                    )
-                }
-                Err(SubmitError::Crashed) => Outcome::error(
-                    500,
-                    "Internal Server Error",
-                    "batch_crashed",
-                    "the micro-batch serving this request crashed; it was supervised — retry",
-                ),
-            }
+            };
+            record_parse_result(shared, &result);
+            let (status, reason, body) = api::render_result(&result);
+            Outcome::json(status, reason, body)
         }
         ("POST", "/v1/parse_batch") => {
             let _permit = match admit(shared) {
@@ -845,6 +829,39 @@ fn decode_body(body: &[u8]) -> Result<Json, HttpError> {
 fn codec_outcome(error: &HttpError) -> Outcome {
     let (status, reason) = error.status().unwrap_or((400, "Bad Request"));
     Outcome::error(status, reason, error.code(), &error.to_string())
+}
+
+/// The typed 5xx for a coalescer submission that produced no response.
+fn submit_error_outcome(shared: &Shared, error: SubmitError) -> Outcome {
+    match error {
+        SubmitError::ShuttingDown => Outcome::error(
+            503,
+            "Service Unavailable",
+            "shutting_down",
+            "the server is draining and no longer accepts work",
+        ),
+        SubmitError::DeadlineExceeded => {
+            shared
+                .metrics
+                .deadline_exceeded
+                .fetch_add(1, Ordering::Relaxed);
+            Outcome::error(
+                504,
+                "Gateway Timeout",
+                "deadline_exceeded",
+                &format!(
+                    "the request missed its {}ms deadline budget",
+                    shared.config.request_deadline.as_millis()
+                ),
+            )
+        }
+        SubmitError::Crashed => Outcome::error(
+            500,
+            "Internal Server Error",
+            "batch_crashed",
+            "the micro-batch serving this request crashed; it was supervised — retry",
+        ),
+    }
 }
 
 fn check_quota(shared: &Shared, peer: IpAddr, cost: f64) -> Option<Outcome> {

@@ -24,10 +24,11 @@
 //!        ▼                                                 │
 //!   TACL policy check (when policies are installed)        │
 //!        │  survivors                                      ▼
-//!        ▼                                         ParseResponse
+//!        ▼                                          cached answer
 //!   ParseResponse { candidates } ── insert ──▶ fingerprint-keyed cache
-//!        │
-//!        └─ every candidate rejected → Err(Error::NoParse { rejected })
+//!        │                                                 ▲
+//!        └─ every candidate rejected →                     │
+//!           Err(Error::NoParse { rejected }) ── insert ────┘
 //! ```
 //!
 //! Responses are a pure function of (model, library, policies, request),
@@ -35,6 +36,8 @@
 //! [`GenieEngine::parse_batch`] fans out over an order-preserving parallel
 //! map — so batch output is **byte-identical for any thread count**, and
 //! the cache can only change latency, never content.
+//! [`GenieEngine::cached`] runs the same tokenize → key → verify lookup
+//! alone, so a front-end can answer a hit without queueing it for a batch.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -220,14 +223,49 @@ impl fmt::Debug for EngineStatsHandle {
     }
 }
 
-/// One cached response, carrying the full key so a 64-bit fingerprint
+/// One cached answer, carrying the full key so a 64-bit fingerprint
 /// collision is detected on lookup instead of silently serving another
 /// utterance's parse.
 struct CacheEntry {
     sentence: genie_nlp::TokenStream,
     k: usize,
     principal: String,
-    response: ParseResponse,
+    /// The response (its utterance rendered from the tokens), or the
+    /// rejected candidates of a typed no-parse.
+    answer: Result<ParseResponse, Vec<(String, thingtalk::Error)>>,
+}
+
+impl CacheEntry {
+    /// The cached answer, under `utterance` (the request's own).
+    fn answer_for(&self, utterance: &str) -> GenieResult<ParseResponse> {
+        match &self.answer {
+            Ok(response) => Ok(ParseResponse {
+                utterance: utterance.to_owned(),
+                ..response.clone()
+            }),
+            Err(rejected) => Err(Error::NoParse {
+                utterance: utterance.to_owned(),
+                rejected: rejected.clone(),
+            }),
+        }
+    }
+}
+
+/// A validated request keyed against one world: its tokenization, clamped
+/// candidate width and principal, and their cache fingerprint.
+struct Resolved<'r> {
+    sentence: genie_nlp::TokenStream,
+    k: usize,
+    principal: &'r str,
+    key: u64,
+}
+
+/// What the response cache holds for one request.
+enum Lookup<'r> {
+    /// The cached answer, rewritten to the request's own utterance.
+    Hit(GenieResult<ParseResponse>),
+    /// No verified entry; the parser must answer.
+    Miss(Resolved<'r>),
 }
 
 /// The hot-swappable half of the engine: everything a live skill update
@@ -562,6 +600,31 @@ impl GenieEngine {
         }
     }
 
+    /// The cached answer for `request` — a response or a typed
+    /// [`Error::NoParse`] — or `None` when answering it needs the parser: a
+    /// miss, a `bypass_cache` request, a disabled cache, or a malformed
+    /// utterance (whose typed error [`GenieEngine::parse`] reports). This is
+    /// the exact lookup `parse` starts with, so a `Some` is byte-identical
+    /// to what `parse` would return. A hit counts as one answered request;
+    /// a `None` counts nothing, so the caller's follow-up `parse` is the
+    /// request's only count.
+    pub fn cached(&self, request: &ParseRequest) -> Option<GenieResult<ParseResponse>> {
+        if request.flags.bypass_cache || self.inner.cache_capacity == 0 {
+            return None;
+        }
+        match self.lookup(&self.world(), request) {
+            Ok(Lookup::Hit(response)) => {
+                self.inner.counters.requests.fetch_add(1, Ordering::Relaxed);
+                self.inner
+                    .counters
+                    .cache_hits
+                    .fetch_add(1, Ordering::Relaxed);
+                Some(response)
+            }
+            Ok(Lookup::Miss(_)) | Err(_) => None,
+        }
+    }
+
     /// Parse one utterance into typechecked, policy-approved candidate
     /// programs.
     ///
@@ -578,6 +641,94 @@ impl GenieEngine {
         // decode, policy check, cache fill — runs against this snapshot,
         // even if a hot swap lands while the request is in flight.
         let world = self.world();
+        let Resolved {
+            sentence,
+            k,
+            principal,
+            key,
+        } = match self.lookup(&world, request)? {
+            Lookup::Hit(answer) => {
+                self.inner
+                    .counters
+                    .cache_hits
+                    .fetch_add(1, Ordering::Relaxed);
+                return answer;
+            }
+            Lookup::Miss(resolved) => resolved,
+        };
+        let predictions = world.model.predict_topk(&sentence, k);
+        let mut candidates = Vec::new();
+        let mut rejected = Vec::new();
+        for prediction in predictions {
+            match self.check_candidate(&world, &prediction.tokens, principal) {
+                Ok(program) => {
+                    candidates.push(ParseCandidate {
+                        source: program.to_string(),
+                        program,
+                        tokens: prediction.tokens,
+                        score: prediction.score,
+                    });
+                }
+                Err(error) => {
+                    self.inner
+                        .counters
+                        .rejected_candidates
+                        .fetch_add(1, Ordering::Relaxed);
+                    rejected.push((prediction.tokens.join(" "), error));
+                }
+            }
+        }
+        let answer = if candidates.is_empty() {
+            Err(rejected)
+        } else {
+            let interner = genie_templates::intern::shared();
+            Ok(ParseResponse {
+                utterance: request.utterance.clone(),
+                // The response surface stays text: resolve the interned
+                // tokens once, at the serving boundary.
+                sentence: sentence
+                    .iter()
+                    .map(|s| interner.resolve(s).to_owned())
+                    .collect(),
+                candidates,
+            })
+        };
+        if self.inner.cache_capacity > 0 {
+            let mut cache = world.cache.lock().unwrap_or_else(|e| e.into_inner());
+            // Bounded and deterministic in content: a full cache stops
+            // admitting. (Values are pure functions of their key, so *which*
+            // requests are cached never affects *what* is returned.) A typed
+            // no-parse is as pure as a response, so it is cached too: a
+            // repeated unparseable utterance costs a lookup, not a decode.
+            if cache.len() < self.inner.cache_capacity {
+                cache.entry(key).or_insert_with(|| {
+                    let mut cached = answer.clone();
+                    // The cache is keyed on the tokenization, which many
+                    // surface utterances share; store the tokens' canonical
+                    // rendering, and rewrite per request on the way out.
+                    if let Ok(response) = &mut cached {
+                        response.utterance = response.sentence.join(" ");
+                    }
+                    Arc::new(CacheEntry {
+                        sentence: sentence.clone(),
+                        k,
+                        principal: principal.to_owned(),
+                        answer: cached,
+                    })
+                });
+            }
+        }
+        answer.map_err(|rejected| Error::NoParse {
+            utterance: request.utterance.clone(),
+            rejected,
+        })
+    }
+
+    /// Tokenize and validate `request`, key it against `world`, and look
+    /// the key up in that world's response cache — the one routine both
+    /// [`GenieEngine::cached`] and [`GenieEngine::parse`] answer hits from.
+    /// Counts nothing; the callers do.
+    fn lookup<'r>(&self, world: &World, request: &'r ParseRequest) -> GenieResult<Lookup<'r>> {
         let utterance = request.utterance.trim();
         if utterance.is_empty() {
             return Err(Error::EmptyUtterance);
@@ -636,77 +787,16 @@ impl GenieEngine {
             let cache = world.cache.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(cached) = cache.get(&key) {
                 if cached.sentence == sentence && cached.k == k && cached.principal == principal {
-                    self.inner
-                        .counters
-                        .cache_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut response = cached.response.clone();
-                    response.utterance = request.utterance.clone();
-                    return Ok(response);
+                    return Ok(Lookup::Hit(cached.answer_for(&request.utterance)));
                 }
             }
         }
-
-        let predictions = world.model.predict_topk(&sentence, k);
-        let mut candidates = Vec::new();
-        let mut rejected = Vec::new();
-        for prediction in predictions {
-            match self.check_candidate(&world, &prediction.tokens, principal) {
-                Ok(program) => {
-                    candidates.push(ParseCandidate {
-                        source: program.to_string(),
-                        program,
-                        tokens: prediction.tokens,
-                        score: prediction.score,
-                    });
-                }
-                Err(error) => {
-                    self.inner
-                        .counters
-                        .rejected_candidates
-                        .fetch_add(1, Ordering::Relaxed);
-                    rejected.push((prediction.tokens.join(" "), error));
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return Err(Error::NoParse {
-                utterance: request.utterance.clone(),
-                rejected,
-            });
-        }
-        let response = ParseResponse {
-            utterance: request.utterance.clone(),
-            // The response surface stays text: resolve the interned tokens
-            // once, at the serving boundary.
-            sentence: sentence
-                .iter()
-                .map(|s| interner.resolve(s).to_owned())
-                .collect(),
-            candidates,
-        };
-        if self.inner.cache_capacity > 0 {
-            let mut cache = world.cache.lock().unwrap_or_else(|e| e.into_inner());
-            // Bounded and deterministic in content: a full cache stops
-            // admitting. (Values are pure functions of their key, so *which*
-            // requests are cached never affects *what* is returned.)
-            if cache.len() < self.inner.cache_capacity {
-                cache.entry(key).or_insert_with(|| {
-                    let mut cached = response.clone();
-                    // The cache is keyed on the tokenization, which many
-                    // surface utterances share; store the tokens' canonical
-                    // rendering, and rewrite per request on the way out.
-                    cached.utterance = cached.sentence.join(" ");
-                    Arc::new(CacheEntry {
-                        sentence: sentence.clone(),
-                        k,
-                        principal: principal.to_owned(),
-                        response: cached,
-                    })
-                });
-            }
-        }
-        Ok(response)
+        Ok(Lookup::Miss(Resolved {
+            sentence,
+            k,
+            principal,
+            key,
+        }))
     }
 
     /// Decode, typecheck and policy-check one model candidate against a
@@ -737,7 +827,7 @@ impl GenieEngine {
         })
     }
 
-    /// Drop every cached response of the current world (a hot swap does
+    /// Drop every cached answer of the current world (a hot swap does
     /// this implicitly — the new world starts with an empty cache).
     pub fn clear_cache(&self) {
         self.world()
@@ -747,7 +837,8 @@ impl GenieEngine {
             .clear();
     }
 
-    /// Number of cached responses in the current world.
+    /// Number of cached answers (responses and typed no-parses) in the
+    /// current world.
     pub fn cached_responses(&self) -> usize {
         self.world()
             .cache
@@ -944,6 +1035,83 @@ mod tests {
     }
 
     #[test]
+    fn cached_answers_exactly_what_parse_answers_and_counts_once() {
+        let (base, utterance) = tiny_engine();
+        let engine = GenieEngine::builder()
+            .model_shared(base.model())
+            .threads(1)
+            .build()
+            .unwrap();
+        let request = ParseRequest::new(utterance.clone());
+        // A fresh engine holds nothing, and a miss counts nothing.
+        assert!(engine.cached(&request).is_none());
+        assert_eq!(engine.stats().requests, 0);
+        let parsed = engine.parse(&request).unwrap();
+        let hit = engine
+            .cached(&request)
+            .expect("a parsed request is cached")
+            .unwrap();
+        assert_eq!(format!("{hit:?}"), format!("{parsed:?}"));
+        assert_eq!(engine.parse(&request).unwrap(), hit);
+        // The entry answers every surface form of the same tokenization,
+        // under the request's own utterance.
+        let shouted = ParseRequest::new(utterance.to_uppercase());
+        assert_eq!(
+            engine.cached(&shouted).map(|r| r.unwrap().utterance),
+            Some(shouted.utterance.clone())
+        );
+        // Other widths and principals, and cache bypasses, are not hits.
+        assert!(engine.cached(&request.clone().with_candidates(1)).is_none());
+        assert!(engine
+            .cached(&request.clone().with_principal("guest"))
+            .is_none());
+        assert!(engine.cached(&request.bypass_cache()).is_none());
+        assert_eq!(
+            engine.stats(),
+            EngineStats {
+                requests: 4,
+                cache_hits: 3,
+                world_version: 1,
+                ..engine.stats()
+            }
+        );
+    }
+
+    #[test]
+    fn a_fingerprint_collision_is_a_miss_not_another_parse() {
+        let (base, utterance) = tiny_engine();
+        let engine = GenieEngine::builder()
+            .model_shared(base.model())
+            .threads(1)
+            .build()
+            .unwrap();
+        let request = ParseRequest::new(utterance.clone());
+        let expected = engine.parse(&request.clone().bypass_cache()).unwrap();
+        engine.clear_cache();
+        // Plant another request's response under this request's key, as a
+        // 64-bit collision would.
+        let world = engine.world();
+        let Ok(Lookup::Miss(resolved)) = engine.lookup(&world, &request) else {
+            panic!("a cleared cache holds nothing");
+        };
+        let mut planted = expected.clone();
+        planted.candidates.truncate(1);
+        planted.candidates[0].source = "planted".to_owned();
+        world.cache.lock().unwrap().insert(
+            resolved.key,
+            Arc::new(CacheEntry {
+                sentence: resolved.sentence.clone(),
+                k: resolved.k,
+                principal: "someone else".to_owned(),
+                answer: Ok(planted),
+            }),
+        );
+        assert!(engine.cached(&request).is_none());
+        assert_eq!(engine.parse(&request).unwrap(), expected);
+        assert_eq!(engine.stats().cache_hits, 0);
+    }
+
+    #[test]
     fn stats_handle_tracks_the_engine_and_outlives_it() {
         let (base, utterance) = tiny_engine();
         let engine = GenieEngine::builder()
@@ -972,15 +1140,15 @@ mod tests {
         assert_eq!(handle.snapshot(), seen);
     }
 
-    #[test]
-    fn policies_reject_disallowed_programs() {
+    /// The tiny engine's model behind policies that allow only a class
+    /// the tiny utterance's program does not use, so every candidate for
+    /// that utterance violates them.
+    fn engine_rejecting_the_tiny_utterance() -> GenieEngine {
         use thingtalk::ast::{FunctionRef, Predicate};
         use thingtalk::policy::{action_policy, query_policy};
 
         let (base, utterance) = tiny_engine();
         let parsed = base.parse(&ParseRequest::new(utterance.clone())).unwrap();
-        // Build a policy that allows only a class the parsed program does
-        // not use, so every candidate for this utterance violates it.
         let devices = parsed.best().program.devices();
         assert!(!devices.contains(&"com.example.unused"));
         let only_unused = vec![
@@ -995,12 +1163,18 @@ mod tests {
                 Predicate::True,
             ),
         ];
-        let engine = GenieEngine::builder()
+        GenieEngine::builder()
             .model_shared(base.model())
             .policies(only_unused)
             .threads(1)
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn policies_reject_disallowed_programs() {
+        let (_, utterance) = tiny_engine();
+        let engine = engine_rejecting_the_tiny_utterance();
         match engine.parse(&ParseRequest::new(utterance.clone())) {
             Err(Error::NoParse { rejected, .. }) => {
                 assert!(!rejected.is_empty());
@@ -1010,6 +1184,46 @@ mod tests {
             }
             other => panic!("expected NoParse with policy rejections, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_typed_no_parse_is_cached_and_answered_under_the_request_utterance() {
+        let (_, utterance) = tiny_engine();
+        let engine = engine_rejecting_the_tiny_utterance();
+        let request = ParseRequest::new(utterance.clone());
+        let decoded = engine.parse(&request);
+        assert!(matches!(decoded, Err(Error::NoParse { .. })));
+        let rejections = engine.stats().rejected_candidates;
+        assert!(rejections > 0);
+        // The lookup answers the same typed error, and so does `parse`,
+        // without decoding again.
+        let cached = engine.cached(&request).expect("a no-parse is cached");
+        assert_eq!(format!("{cached:?}"), format!("{decoded:?}"));
+        assert_eq!(
+            format!("{:?}", engine.parse(&request)),
+            format!("{decoded:?}")
+        );
+        // Another surface form of the same tokenization gets the error
+        // under its own utterance.
+        let shouted = ParseRequest::new(utterance.to_uppercase());
+        match engine.cached(&shouted) {
+            Some(Err(Error::NoParse { utterance, .. })) => assert_eq!(utterance, shouted.utterance),
+            other => panic!("expected a cached NoParse, got {other:?}"),
+        }
+        assert_eq!(
+            engine.stats(),
+            EngineStats {
+                requests: 4,
+                cache_hits: 3,
+                rejected_candidates: rejections,
+                world_version: 1,
+                ..engine.stats()
+            }
+        );
+        // Bypassing the cache decodes again, to the same answer.
+        let bypassed = engine.parse(&request.bypass_cache());
+        assert_eq!(format!("{bypassed:?}"), format!("{decoded:?}"));
+        assert_eq!(engine.stats().rejected_candidates, 2 * rejections);
     }
 
     #[test]

@@ -298,8 +298,8 @@ impl SentenceIndex {
 /// buckets the table lacks; the low load factor lets the first slot decide
 /// nearly every lookup, which measured faster than a half-full table. A
 /// slot is 16 bytes and there are four to eight slots per nonzero bucket,
-/// against 12 bytes for *every* bucket (48 MB) in the dense training
-/// arrays.
+/// against 12 bytes for *every* bucket (48 MB) in a dense per-bucket
+/// layout.
 pub struct AveragedWeights {
     /// `(bucket, averaged weight)`; [`EMPTY_SLOT`] marks a free slot.
     slots: Box<[(u32, f64)]>,

@@ -40,9 +40,10 @@
 //!
 //! A trained parser keeps its weights sparse: the nonzero `(bucket,
 //! weight, total)` entries plus a compact table of their averaged values
-//! ([`features::AveragedWeights`]). The dense per-bucket arrays training
-//! needs exist only inside [`model::LuinetParser::train`] and
-//! [`model::LuinetParser::fine_tune`]. Each decode call memoizes the
+//! ([`features::AveragedWeights`]). Training works on a sparse scratch
+//! table of the buckets it writes, which exists only inside
+//! [`model::LuinetParser::train`] and [`model::LuinetParser::fine_tune`].
+//! Each decode call memoizes the
 //! bucket values that depend only on the sentence and the candidate, and
 //! every scored step, so the beam reuses what greedy decoding already
 //! scored (see [`model`]).

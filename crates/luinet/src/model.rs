@@ -22,11 +22,12 @@
 //!
 //! # Sparse served weights, memoized decoding
 //!
-//! Training needs dense arrays (a raw weight and a running total per
-//! bucket, 48 MB at 2^22 buckets) but touches well under 1% of them. The
-//! arrays are scratch inside [`LuinetParser::train`] and
-//! [`LuinetParser::fine_tune`] only: each rebuilds them from the parser's
-//! sparse `(bucket, weight, total)` entries on entry and folds them back on
+//! Training keeps a raw weight and a running total per bucket, but writes
+//! well under 1% of the 2^22 buckets, so it keeps them in a sparse scratch
+//! table keyed by bucket (a missing bucket reads as zero) rather than in
+//! 48 MB of dense arrays. The table exists inside [`LuinetParser::train`]
+//! and [`LuinetParser::fine_tune`] only: each rebuilds it from the parser's
+//! sparse `(bucket, weight, total)` entries on entry and folds it back on
 //! exit. A trained parser keeps just those entries (what the weights
 //! digest and snapshots fold) plus an [`AveragedWeights`] table of their
 //! averaged values.
@@ -67,9 +68,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::data::ParserExample;
-use crate::features::{
-    cand_hash, AveragedWeights, SentenceIndex, StepContext, FEATURE_BUCKETS, POSITION_CAP,
-};
+use crate::features::{cand_hash, AveragedWeights, SentenceIndex, StepContext, POSITION_CAP};
 use crate::lm::ProgramLm;
 use crate::vocab::{bos_symbol, eos_symbol, Vocab};
 
@@ -214,60 +213,50 @@ impl CompiledTransitions {
 /// running total)`.
 pub(crate) type WeightEntry = (u32, f32, f64);
 
-/// Training scratch: the raw weight and running total of every bucket,
-/// rebuilt from the sparse entries when a training pass starts and folded
-/// back into them when it ends, so a served parser never holds it.
-struct DenseParams {
-    weights: Vec<f32>,
-    totals: Vec<f64>,
-    /// One bit per bucket ever written, so folding back reads only those
-    /// instead of scanning all 48 MB.
-    touched: Vec<u64>,
+/// Training scratch: the raw weight and running total of every bucket a
+/// training pass has written, rebuilt from the sparse entries when the pass
+/// starts and folded back into them when it ends. A bucket missing from the
+/// table reads as zero, exactly like a bucket training never touched.
+struct TrainParams {
+    /// bucket → (raw weight, running total).
+    params: HashMap<u32, (f32, f64), FnvState>,
 }
 
-impl DenseParams {
+impl TrainParams {
     fn from_entries(entries: &[WeightEntry]) -> Self {
-        let mut dense = DenseParams {
-            weights: vec![0.0; FEATURE_BUCKETS],
-            totals: vec![0.0; FEATURE_BUCKETS],
-            touched: vec![0; FEATURE_BUCKETS / 64],
-        };
-        for &(bucket, weight, total) in entries {
-            dense.weights[bucket as usize] = weight;
-            dense.totals[bucket as usize] = total;
-            dense.touch(bucket as usize);
+        TrainParams {
+            params: entries
+                .iter()
+                .map(|&(bucket, weight, total)| (bucket, (weight, total)))
+                .collect(),
         }
-        dense
     }
 
+    /// The raw weight of a bucket.
     #[inline]
-    fn touch(&mut self, bucket: usize) {
-        self.touched[bucket / 64] |= 1 << (bucket % 64);
+    fn weight(&self, bucket: usize) -> f32 {
+        self.params
+            .get(&(bucket as u32))
+            .map_or(0.0, |&(weight, _)| weight)
     }
 
     /// Merge one shard delta into a bucket.
     #[inline]
-    fn add(&mut self, bucket: usize, weight_delta: f64, total_delta: f64) {
-        self.weights[bucket] = (self.weights[bucket] as f64 + weight_delta) as f32;
-        self.totals[bucket] += total_delta;
-        self.touch(bucket);
+    fn add(&mut self, bucket: u32, weight_delta: f64, total_delta: f64) {
+        let (weight, total) = self.params.entry(bucket).or_default();
+        *weight = (*weight as f64 + weight_delta) as f32;
+        *total += total_delta;
     }
 
-    /// The nonzero buckets in ascending bucket order (an untouched bucket
-    /// is zero).
+    /// The nonzero buckets in ascending bucket order.
     fn into_entries(self) -> Vec<WeightEntry> {
-        let mut entries = Vec::new();
-        for (word_index, &word) in self.touched.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let bucket = word_index * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (weight, total) = (self.weights[bucket], self.totals[bucket]);
-                if weight != 0.0 || total != 0.0 {
-                    entries.push((bucket as u32, weight, total));
-                }
-            }
-        }
+        let mut entries: Vec<WeightEntry> = self
+            .params
+            .into_iter()
+            .filter(|&(_, (weight, total))| weight != 0.0 || total != 0.0)
+            .map(|(bucket, (weight, total))| (bucket, weight, total))
+            .collect();
+        entries.sort_unstable_by_key(|&(bucket, _, _)| bucket);
         entries
     }
 }
@@ -569,13 +558,12 @@ impl LuinetParser {
     }
 
     /// `epochs` shuffled passes over `examples` (the shuffle of epoch `e`
-    /// seeded by `(config.seed, stream, e)`) on dense scratch arrays
-    /// rebuilt from the sparse entries, then installed back as sparse
-    /// entries.
+    /// seeded by `(config.seed, stream, e)`) on a scratch table rebuilt
+    /// from the sparse entries, then installed back as sparse entries.
     fn run_epochs(&mut self, examples: &[ParserExample], epochs: usize, stream: u64) {
         let prepared = self.prepare_examples(examples);
         let shards = self.config.effective_shards(examples.len());
-        let mut dense = DenseParams::from_entries(&self.entries);
+        let mut params = TrainParams::from_entries(&self.entries);
         let mut order: Vec<u32> = (0..examples.len() as u32).collect();
         for epoch in 0..epochs {
             let mut rng = StdRng::seed_from_u64(genie_parallel::stream_seed(
@@ -584,9 +572,9 @@ impl LuinetParser {
                 epoch as u64,
             ));
             order.shuffle(&mut rng);
-            self.run_rounds(&mut dense, &prepared, &order, shards);
+            self.run_rounds(&mut params, &prepared, &order, shards);
         }
-        self.install(dense.into_entries());
+        self.install(params.into_entries());
     }
 
     /// Absorb the training programs into the transition model and the
@@ -630,7 +618,7 @@ impl LuinetParser {
     /// training competitive with the sequential perceptron).
     fn run_rounds(
         &mut self,
-        dense: &mut DenseParams,
+        params: &mut TrainParams,
         prepared: &[PreparedExample],
         order: &[u32],
         shards: usize,
@@ -638,7 +626,7 @@ impl LuinetParser {
         let round_len = shards * TRAIN_ROUND_EXAMPLES;
         for round in order.chunks(round_len) {
             let chunks: Vec<&[u32]> = round.chunks(round.len().div_ceil(shards)).collect();
-            let snapshot: &DenseParams = dense;
+            let snapshot: &TrainParams = params;
             let deltas = genie_parallel::par_map(self.config.threads, &chunks, |_, chunk| {
                 self.train_shard(snapshot, chunk, prepared)
             });
@@ -648,7 +636,7 @@ impl LuinetParser {
             let mut step_sum = 0u64;
             for delta in &deltas {
                 for (&bucket, &(dw, dt)) in &delta.deltas {
-                    dense.add(bucket as usize, dw, dt);
+                    params.add(bucket, dw, dt);
                 }
                 step_sum += delta.steps;
             }
@@ -657,12 +645,12 @@ impl LuinetParser {
     }
 
     /// Train one shard of one mixing round: accumulate sparse weight deltas
-    /// against the round-start snapshot (`dense`, re-merged after every
+    /// against the round-start snapshot (`params`, re-merged after every
     /// round), scoring each candidate as snapshot + local delta so the
     /// shard behaves exactly like a sequential perceptron over its chunk.
     fn train_shard(
         &self,
-        dense: &DenseParams,
+        params: &TrainParams,
         chunk: &[u32],
         prepared: &[PreparedExample],
     ) -> ShardDelta {
@@ -675,7 +663,7 @@ impl LuinetParser {
             for (position, &(gold, gold_hash)) in example.gold.iter().enumerate() {
                 let step = StepContext::new(&example.index, prev1, prev2, position);
                 let (predicted, predicted_hash) = self.best_candidate(
-                    dense,
+                    params,
                     &step,
                     &example.index,
                     Some((gold, gold_hash)),
@@ -746,7 +734,7 @@ impl LuinetParser {
     #[inline]
     fn score_train(
         &self,
-        dense: &DenseParams,
+        params: &TrainParams,
         step: &StepContext<'_>,
         candidate: Symbol,
         candidate_hash: u64,
@@ -759,7 +747,7 @@ impl LuinetParser {
                 .get(&(bucket as u32))
                 .map(|&(dw, _)| dw)
                 .unwrap_or(0.0);
-            score += dense.weights[bucket] as f64 + local;
+            score += params.weight(bucket) as f64 + local;
         });
         score + self.lm_score(step, candidate)
     }
@@ -827,7 +815,7 @@ impl LuinetParser {
     /// ties, which the deterministic candidate order makes reproducible).
     fn best_candidate(
         &self,
-        dense: &DenseParams,
+        params: &TrainParams,
         step: &StepContext<'_>,
         index: &SentenceIndex,
         gold: Option<(Symbol, u64)>,
@@ -836,7 +824,7 @@ impl LuinetParser {
         let mut best = (self.eos, self.eos_hash);
         let mut best_score = f64::NEG_INFINITY;
         self.for_each_candidate(index, step.prev1(), gold, |candidate, hash| {
-            let score = self.score_train(dense, step, candidate, hash, delta);
+            let score = self.score_train(params, step, candidate, hash, delta);
             if score > best_score {
                 best_score = score;
                 best = (candidate, hash);
@@ -1772,5 +1760,25 @@ mod tests {
         };
         assert_eq!(wide.effective_shards(10_000), 16);
         assert_eq!(wide.effective_shards(300), 4);
+    }
+
+    #[test]
+    fn train_params_fold_back_nonzero_entries_in_bucket_order() {
+        let mut params = TrainParams::from_entries(&[(7, 1.0, 2.0), (40, -1.0, 0.0)]);
+        assert_eq!(params.weight(7), 1.0);
+        assert_eq!(params.weight(8), 0.0);
+        params.add(3_000_000, 1.0, 5.0);
+        params.add(2, 1.0, 1.0);
+        // Buckets whose updates cancel out drop, whether they came from the
+        // entries or from training.
+        params.add(40, 1.0, 0.0);
+        params.add(9, 1.0, 3.0);
+        params.add(9, -1.0, -3.0);
+        // A zero weight with a nonzero total is still a parameter.
+        params.add(7, -1.0, 0.0);
+        assert_eq!(
+            params.into_entries(),
+            vec![(2, 1.0, 1.0), (7, 0.0, 2.0), (3_000_000, 1.0, 5.0)]
+        );
     }
 }

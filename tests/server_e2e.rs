@@ -235,6 +235,7 @@ fn concurrent_socket_responses_are_byte_identical_to_in_process_at_every_worker_
         let addr = server.local_addr();
         // Hammer concurrently so requests actually race into shared
         // micro-batches, twice over to exercise the response cache too.
+        let mut counts = Vec::new();
         for round in 0..2 {
             let clients: Vec<_> = utterances
                 .iter()
@@ -255,14 +256,29 @@ fn concurrent_socket_responses_are_byte_identical_to_in_process_at_every_worker_
                     "threads={threads} round={round} utterance #{i} drifted over the socket"
                 );
             }
+            let metrics = server.metrics_text();
+            counts.push((
+                metric(&metrics, "server_coalesced_requests_total"),
+                metric(&metrics, "engine_cache_hits_total"),
+            ));
         }
-        let metrics = server.metrics_text();
+        // Round one misses the cache, so its parses flow through the
+        // coalescer. Round two answers every request — the successes and
+        // the typed no-parse alike — from the cache on the acceptor thread.
+        let (first_coalesced, first_hits) = counts[0];
+        let (second_coalesced, second_hits) = counts[1];
+        assert!(first_coalesced <= utterances.len() as u64);
+        assert!(first_coalesced >= 1);
         assert_eq!(
-            metric(&metrics, "server_coalesced_requests_total"),
-            2 * utterances.len() as u64,
-            "every single parse must flow through the coalescer"
+            second_coalesced, first_coalesced,
+            "threads={threads}: a cached answer went through the coalescer"
         );
-        assert!(metric(&metrics, "server_coalesce_batches_total") >= 1);
+        assert_eq!(
+            second_hits - first_hits,
+            utterances.len() as u64,
+            "threads={threads}: every repeated request must be one cache hit"
+        );
+        assert!(metric(&server.metrics_text(), "server_coalesce_batches_total") >= 1);
     }
 }
 
@@ -362,6 +378,26 @@ fn quota_exhaustion_answers_429_with_retry_after() {
 
     let metrics = server.metrics_text();
     assert!(metric(&metrics, "server_quota_rejections_total") >= 4);
+}
+
+/// The quota is charged before the response cache is consulted: a repeat
+/// of an already-cached utterance past the burst is still refused.
+#[test]
+fn a_cached_repeat_still_pays_its_quota() {
+    let (_, utterances) = fixture();
+    let server = serve(
+        engine_with_threads(1),
+        ServerConfig::builder().quota(1, 0.001).build().unwrap(),
+    );
+    let addr = server.local_addr();
+    let body = parse_body(&utterances[0]);
+    assert_eq!(post(addr, "/v1/parse", &body).status, 200);
+    let repeat = post(addr, "/v1/parse", &body);
+    assert_eq!(repeat.status, 429);
+    assert!(repeat.body.contains("quota_exhausted"));
+    let metrics = server.metrics_text();
+    assert_eq!(metric(&metrics, "engine_requests_total"), 1);
+    assert_eq!(metric(&metrics, "engine_cache_hits_total"), 0);
 }
 
 // ---------------------------------------------------------------------------
