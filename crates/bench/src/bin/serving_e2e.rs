@@ -36,7 +36,7 @@ use genie::engine::{GenieEngine, ParseRequest};
 use genie::live::LiveWorld;
 use genie::paraphrase::ParaphraseConfig;
 use genie::pipeline::PipelineConfig;
-use genie_bench::{flag_value, json_object};
+use genie_bench::{flag_value, json_field, json_object};
 use genie_server::{api, GenieServer, ServerConfig};
 use genie_templates::GeneratorConfig;
 use luinet::ModelConfig;
@@ -424,6 +424,22 @@ fn scrape_metric(text: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric `{name}` missing"))
 }
 
+/// Add `"socket": <socket>` as the last field of the JSON object `base`,
+/// which must end in its own closing brace and have no socket section yet
+/// (a second splice would leave two `socket` keys).
+fn splice_socket(base: &str, socket: &str) -> Result<String, String> {
+    if json_field(base, "socket").is_some() {
+        return Err("the report already has a `socket` section".to_owned());
+    }
+    let body = base
+        .trim_end()
+        .strip_suffix('}')
+        .ok_or("the report does not end in `}`")?
+        .trim_end();
+    let separator = if body.ends_with('{') { "" } else { ", " };
+    Ok(format!("{body}{separator}\"socket\": {socket}}}"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = std::env::var("GENIE_BENCH_SMOKE").is_ok();
@@ -591,11 +607,16 @@ fn main() {
     // (the CI flow: `--bench serving` writes the base, this bin completes
     // it); standalone otherwise.
     let report = match base.as_deref().map(std::fs::read_to_string) {
-        Some(Ok(existing)) => {
-            let trimmed = existing.trim_end().trim_end_matches('}').trim_end();
-            let trimmed = trimmed.strip_suffix(',').unwrap_or(trimmed);
-            format!("{trimmed}, \"socket\": {socket}}}")
-        }
+        Some(Ok(existing)) => match splice_socket(&existing, &socket) {
+            Ok(report) => report,
+            Err(error) => {
+                eprintln!(
+                    "serving-e2e: cannot splice into --base {}: {error}",
+                    base.as_deref().unwrap_or_default()
+                );
+                std::process::exit(1);
+            }
+        },
         Some(Err(error)) => {
             eprintln!(
                 "serving-e2e: cannot read --base {}: {error}",
@@ -611,4 +632,28 @@ fn main() {
     };
     std::fs::write(&out_path, format!("{report}\n")).expect("write the serving report");
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::splice_socket;
+
+    #[test]
+    fn splice_strips_one_closing_brace() {
+        let base = "{\"bench\": \"serving\", \"cold_latency_us\": {\"p50\": 1.0}}\n";
+        assert_eq!(
+            splice_socket(base, "{\"p50_us\": 2.0}").unwrap(),
+            "{\"bench\": \"serving\", \"cold_latency_us\": {\"p50\": 1.0}, \
+             \"socket\": {\"p50_us\": 2.0}}"
+        );
+        assert_eq!(splice_socket("{}", "1").unwrap(), "{\"socket\": 1}");
+        assert!(splice_socket("[1, 2]", "1").is_err());
+    }
+
+    #[test]
+    fn splice_refuses_a_base_with_a_socket_section() {
+        let spliced = splice_socket("{\"bench\": \"serving\"}", "{\"p50_us\": 2.0}").unwrap();
+        let error = splice_socket(&spliced, "{\"p50_us\": 3.0}").unwrap_err();
+        assert!(error.contains("socket"), "{error}");
+    }
 }

@@ -113,7 +113,7 @@ impl Metrics {
     pub fn render(&self, engine: &EngineStatsHandle) -> String {
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let engine_stats = engine.snapshot();
-        let pairs: [(&str, u64); 34] = [
+        let pairs: [(&str, u64); 35] = [
             ("server_connections_total", load(&self.connections)),
             ("server_http_requests_total", load(&self.http_requests)),
             ("server_parse_requests_total", load(&self.parse_requests)),
@@ -170,6 +170,7 @@ impl Metrics {
             ("server_degraded", load(&self.degraded)),
             ("engine_requests_total", engine_stats.requests),
             ("engine_cache_hits_total", engine_stats.cache_hits),
+            ("engine_cache_carried_total", engine_stats.cache_carried),
             (
                 "engine_rejected_candidates_total",
                 engine_stats.rejected_candidates,

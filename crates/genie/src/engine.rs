@@ -38,10 +38,15 @@
 //! the cache can only change latency, never content.
 //! [`GenieEngine::cached`] runs the same tokenize → key → verify lookup
 //! alone, so a front-end can answer a hit without queueing it for a batch.
+//!
+//! The cache is scoped to the serving world. A hot swap
+//! ([`GenieEngine::swap_world`]) re-answers the entries that were hit
+//! against the incoming world and carries those answers into its cache;
+//! the rest are dropped. No answer of a retired world is ever served.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use genie_templates::dedup::fingerprint;
@@ -167,6 +172,9 @@ pub struct EngineStats {
     /// Wall-clock microseconds the most recent swap took end to end, as
     /// reported by the caller that drove it (0 until the first swap).
     pub last_swap_us: u64,
+    /// Hot cached answers that swaps re-answered against the incoming
+    /// world and carried into its cache.
+    pub cache_carried: u64,
 }
 
 /// The engine's counter cells, shared between the engine and any
@@ -179,6 +187,7 @@ struct EngineCounters {
     world_version: AtomicU64,
     swaps: AtomicU64,
     last_swap_us: AtomicU64,
+    cache_carried: AtomicU64,
 }
 
 impl EngineCounters {
@@ -190,6 +199,7 @@ impl EngineCounters {
             world_version: self.world_version.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
             last_swap_us: self.last_swap_us.load(Ordering::Relaxed),
+            cache_carried: self.cache_carried.load(Ordering::Relaxed),
         }
     }
 }
@@ -223,6 +233,10 @@ impl fmt::Debug for EngineStatsHandle {
     }
 }
 
+/// A computed answer: the response (its utterance rendered from the
+/// tokens), or the rejected candidates of a typed no-parse.
+type Answer = Result<ParseResponse, Vec<(String, thingtalk::Error)>>;
+
 /// One cached answer, carrying the full key so a 64-bit fingerprint
 /// collision is detected on lookup instead of silently serving another
 /// utterance's parse.
@@ -230,12 +244,23 @@ struct CacheEntry {
     sentence: genie_nlp::TokenStream,
     k: usize,
     principal: String,
-    /// The response (its utterance rendered from the tokens), or the
-    /// rejected candidates of a typed no-parse.
-    answer: Result<ParseResponse, Vec<(String, thingtalk::Error)>>,
+    answer: Answer,
+    /// Set by the first verified hit: the entry is hot, and the next swap
+    /// re-answers it against the incoming world instead of dropping it.
+    hit: AtomicBool,
 }
 
 impl CacheEntry {
+    fn new(sentence: genie_nlp::TokenStream, k: usize, principal: String, answer: Answer) -> Self {
+        CacheEntry {
+            sentence,
+            k,
+            principal,
+            answer,
+            hit: AtomicBool::new(false),
+        }
+    }
+
     /// The cached answer, under `utterance` (the request's own).
     fn answer_for(&self, utterance: &str) -> GenieResult<ParseResponse> {
         match &self.answer {
@@ -271,8 +296,11 @@ enum Lookup<'r> {
 /// The hot-swappable half of the engine: everything a live skill update
 /// replaces in one step. Immutable once published — in-flight requests
 /// capture one `Arc<World>` at entry and finish on it even if a swap lands
-/// mid-request; the response cache rides inside the world, so a swap
-/// empties it wholesale instead of serving answers from a retired library.
+/// mid-request. The response cache rides inside the world, so no answer
+/// computed against a retired library is ever served: a swap starts the
+/// incoming world's cache with the outgoing world's *hot* entries (those a
+/// verified hit marked) re-answered against the incoming world, and drops
+/// the rest.
 struct World {
     /// Monotonic snapshot version; 1 is the world the engine was built
     /// with, each completed swap increments it.
@@ -524,10 +552,17 @@ impl GenieEngine {
     }
 
     /// Atomically replace the serving world: library, model and policies
-    /// swap together as one version, and the response cache starts empty
-    /// (it is scoped to the world it was filled under). In-flight requests
-    /// finish on the snapshot they captured at entry; requests arriving
-    /// after the swap see only the new world. Returns the new version.
+    /// swap together as one version. In-flight requests finish on the
+    /// snapshot they captured at entry; requests arriving after the swap
+    /// see only the new world. Returns the new version.
+    ///
+    /// The response cache is scoped to the world it was filled under. Before
+    /// publishing, the swap re-answers each hot entry of the outgoing cache
+    /// (one a verified hit marked) against the incoming world — the same
+    /// routine a miss runs, so the carried answer is byte-identical to what
+    /// a miss would compute — and the incoming cache starts with those
+    /// answers. Entries never hit are dropped, and the carry counts no
+    /// request, hit or rejection (see [`EngineStats::cache_carried`]).
     ///
     /// `swap_latency_us` is the end-to-end latency of the reload that
     /// produced this world (re-synthesis + retraining + this call), as
@@ -565,17 +600,50 @@ impl GenieEngine {
         policies: Vec<Policy>,
         swap_latency_us: u64,
     ) -> u64 {
-        let mut slot = self.inner.world.write().unwrap_or_else(|e| e.into_inner());
-        // The version is read and replaced under the same write lock, so
-        // concurrent implicit swaps never mint the same successor.
-        let version = version.unwrap_or(slot.version + 1);
-        *slot = Arc::new(World {
-            version,
+        let mut incoming = World {
+            version: 0,
             library,
             model,
             policies,
             cache: Mutex::new(HashMap::new()),
-        });
+        };
+        // Snapshot the hot entries, then re-answer them with no lock held:
+        // serving goes on against the outgoing world and its cache meanwhile.
+        let hot: Vec<Arc<CacheEntry>> = self
+            .world()
+            .cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+            .filter(|entry| entry.hit.load(Ordering::Relaxed))
+            .cloned()
+            .collect();
+        let carried: Vec<CacheEntry> = hot
+            .iter()
+            .map(|entry| {
+                let (answer, _) =
+                    self.answer(&incoming, &entry.sentence, entry.k, &entry.principal);
+                CacheEntry::new(
+                    entry.sentence.clone(),
+                    entry.k,
+                    entry.principal.clone(),
+                    answer,
+                )
+            })
+            .collect();
+        let carried_count = carried.len() as u64;
+
+        let mut slot = self.inner.world.write().unwrap_or_else(|e| e.into_inner());
+        // The version is read and replaced under the same write lock, so
+        // concurrent implicit swaps never mint the same successor.
+        let version = version.unwrap_or(slot.version + 1);
+        incoming.version = version;
+        let cache = incoming.cache.get_mut().unwrap_or_else(|e| e.into_inner());
+        for entry in carried {
+            let key = fingerprint(&(version, &entry.sentence, entry.k, entry.principal.as_str()));
+            cache.insert(key, Arc::new(entry));
+        }
+        *slot = Arc::new(incoming);
         drop(slot);
         let counters = &self.inner.counters;
         counters.world_version.store(version, Ordering::Relaxed);
@@ -583,6 +651,9 @@ impl GenieEngine {
         counters
             .last_swap_us
             .store(swap_latency_us, Ordering::Relaxed);
+        counters
+            .cache_carried
+            .fetch_add(carried_count, Ordering::Relaxed);
         version
     }
 
@@ -656,43 +727,13 @@ impl GenieEngine {
             }
             Lookup::Miss(resolved) => resolved,
         };
-        let predictions = world.model.predict_topk(&sentence, k);
-        let mut candidates = Vec::new();
-        let mut rejected = Vec::new();
-        for prediction in predictions {
-            match self.check_candidate(&world, &prediction.tokens, principal) {
-                Ok(program) => {
-                    candidates.push(ParseCandidate {
-                        source: program.to_string(),
-                        program,
-                        tokens: prediction.tokens,
-                        score: prediction.score,
-                    });
-                }
-                Err(error) => {
-                    self.inner
-                        .counters
-                        .rejected_candidates
-                        .fetch_add(1, Ordering::Relaxed);
-                    rejected.push((prediction.tokens.join(" "), error));
-                }
-            }
-        }
-        let answer = if candidates.is_empty() {
-            Err(rejected)
-        } else {
-            let interner = genie_templates::intern::shared();
-            Ok(ParseResponse {
-                utterance: request.utterance.clone(),
-                // The response surface stays text: resolve the interned
-                // tokens once, at the serving boundary.
-                sentence: sentence
-                    .iter()
-                    .map(|s| interner.resolve(s).to_owned())
-                    .collect(),
-                candidates,
-            })
-        };
+        let (answer, rejections) = self.answer(&world, &sentence, k, principal);
+        self.inner
+            .counters
+            .rejected_candidates
+            .fetch_add(rejections, Ordering::Relaxed);
+        let entry = CacheEntry::new(sentence, k, principal.to_owned(), answer);
+        let response = entry.answer_for(&request.utterance);
         if self.inner.cache_capacity > 0 {
             let mut cache = world.cache.lock().unwrap_or_else(|e| e.into_inner());
             // Bounded and deterministic in content: a full cache stops
@@ -701,27 +742,58 @@ impl GenieEngine {
             // no-parse is as pure as a response, so it is cached too: a
             // repeated unparseable utterance costs a lookup, not a decode.
             if cache.len() < self.inner.cache_capacity {
-                cache.entry(key).or_insert_with(|| {
-                    let mut cached = answer.clone();
-                    // The cache is keyed on the tokenization, which many
-                    // surface utterances share; store the tokens' canonical
-                    // rendering, and rewrite per request on the way out.
-                    if let Ok(response) = &mut cached {
-                        response.utterance = response.sentence.join(" ");
-                    }
-                    Arc::new(CacheEntry {
-                        sentence: sentence.clone(),
-                        k,
-                        principal: principal.to_owned(),
-                        answer: cached,
-                    })
-                });
+                cache.entry(key).or_insert_with(|| Arc::new(entry));
             }
         }
-        answer.map_err(|rejected| Error::NoParse {
-            utterance: request.utterance.clone(),
-            rejected,
-        })
+        response
+    }
+
+    /// Predict → typecheck → policy for one resolved request against
+    /// `world`: the answer a cache miss computes, and the number of model
+    /// candidates it rejected. A pure function of `(world, sentence, k,
+    /// principal)`; counts nothing. The response's utterance is the
+    /// canonical rendering of the tokens, since the cache keys on the
+    /// tokenization that many surface utterances share;
+    /// [`CacheEntry::answer_for`] rewrites it per request.
+    fn answer(
+        &self,
+        world: &World,
+        sentence: &genie_nlp::TokenStream,
+        k: usize,
+        principal: &str,
+    ) -> (Answer, u64) {
+        let mut candidates = Vec::new();
+        let mut rejected = Vec::new();
+        for prediction in world.model.predict_topk(sentence, k) {
+            match self.check_candidate(world, &prediction.tokens, principal) {
+                Ok(program) => {
+                    candidates.push(ParseCandidate {
+                        source: program.to_string(),
+                        program,
+                        tokens: prediction.tokens,
+                        score: prediction.score,
+                    });
+                }
+                Err(error) => rejected.push((prediction.tokens.join(" "), error)),
+            }
+        }
+        let rejections = rejected.len() as u64;
+        if candidates.is_empty() {
+            return (Err(rejected), rejections);
+        }
+        // The response surface stays text: resolve the interned tokens
+        // once, at the serving boundary.
+        let interner = genie_templates::intern::shared();
+        let sentence: Vec<String> = sentence
+            .iter()
+            .map(|s| interner.resolve(s).to_owned())
+            .collect();
+        let response = ParseResponse {
+            utterance: sentence.join(" "),
+            sentence,
+            candidates,
+        };
+        (Ok(response), rejections)
     }
 
     /// Tokenize and validate `request`, key it against `world`, and look
@@ -787,6 +859,7 @@ impl GenieEngine {
             let cache = world.cache.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(cached) = cache.get(&key) {
                 if cached.sentence == sentence && cached.k == k && cached.principal == principal {
+                    cached.hit.store(true, Ordering::Relaxed);
                     return Ok(Lookup::Hit(cached.answer_for(&request.utterance)));
                 }
             }
@@ -827,8 +900,8 @@ impl GenieEngine {
         })
     }
 
-    /// Drop every cached answer of the current world (a hot swap does
-    /// this implicitly — the new world starts with an empty cache).
+    /// Drop every cached answer of the current world, hot ones included (a
+    /// swap right after this carries nothing).
     pub fn clear_cache(&self) {
         self.world()
             .cache
@@ -1099,12 +1172,12 @@ mod tests {
         planted.candidates[0].source = "planted".to_owned();
         world.cache.lock().unwrap().insert(
             resolved.key,
-            Arc::new(CacheEntry {
-                sentence: resolved.sentence.clone(),
-                k: resolved.k,
-                principal: "someone else".to_owned(),
-                answer: Ok(planted),
-            }),
+            Arc::new(CacheEntry::new(
+                resolved.sentence.clone(),
+                resolved.k,
+                "someone else".to_owned(),
+                Ok(planted),
+            )),
         );
         assert!(engine.cached(&request).is_none());
         assert_eq!(engine.parse(&request).unwrap(), expected);
@@ -1224,6 +1297,109 @@ mod tests {
         let bypassed = engine.parse(&request.bypass_cache());
         assert_eq!(format!("{bypassed:?}"), format!("{decoded:?}"));
         assert_eq!(engine.stats().rejected_candidates, 2 * rejections);
+    }
+
+    /// A second model over the tiny pipeline, trained differently from the
+    /// tiny engine's, so its scores (and often its tokens) differ.
+    fn other_model() -> Arc<LuinetParser> {
+        static MODEL: OnceLock<Arc<LuinetParser>> = OnceLock::new();
+        MODEL
+            .get_or_init(|| {
+                GenieEngine::builder()
+                    .train(
+                        tiny_pipeline(),
+                        ModelConfig {
+                            epochs: 2,
+                            seed: 9,
+                            ..ModelConfig::default()
+                        },
+                    )
+                    .unwrap()
+                    .build()
+                    .unwrap()
+                    .model()
+            })
+            .clone()
+    }
+
+    fn render(answer: &GenieResult<ParseResponse>) -> String {
+        format!("{answer:?}")
+    }
+
+    #[test]
+    fn a_swap_carries_hot_entries_re_answered_against_the_incoming_world() {
+        let (base, utterance) = tiny_engine();
+        let engine = GenieEngine::builder()
+            .model_shared(base.model())
+            .threads(1)
+            .build()
+            .unwrap();
+        let hot = ParseRequest::new(utterance.clone());
+        let cold = ParseRequest::new("tweet hello world");
+        let old_answer = engine.parse(&hot);
+        engine.parse(&cold).ok();
+        assert!(engine.cached(&hot).is_some(), "a parsed request is cached");
+        assert_eq!(engine.cached_responses(), 2);
+        let before = engine.stats();
+
+        let library = engine.library();
+        engine.swap_world(library.clone(), other_model(), Vec::new(), 0);
+        // Only the entry a hit marked is carried, and the carry counts no
+        // request, hit or rejection.
+        assert_eq!(engine.cached_responses(), 1);
+        assert_eq!(
+            engine.stats(),
+            EngineStats {
+                world_version: 2,
+                swaps: 1,
+                cache_carried: 1,
+                ..before
+            }
+        );
+        // The carried entry is the incoming world's own answer, not the
+        // outgoing one's.
+        let fresh = engine.parse(&hot.clone().bypass_cache());
+        assert_ne!(render(&fresh), render(&old_answer), "the models agree");
+        let carried = engine.cached(&hot).expect("the hot entry was carried");
+        assert_eq!(render(&carried), render(&fresh));
+        assert!(engine.cached(&cold).is_none(), "an unhit entry was carried");
+
+        // A swap right after a clear carries nothing.
+        engine.clear_cache();
+        engine.swap_world(library, base.model(), Vec::new(), 0);
+        assert_eq!(engine.cached_responses(), 0);
+        assert_eq!(engine.stats().cache_carried, 1);
+    }
+
+    #[test]
+    fn a_hot_utterance_of_a_removed_skill_answers_as_the_new_world_does() {
+        let (base, utterance) = tiny_engine();
+        let engine = GenieEngine::builder()
+            .model_shared(base.model())
+            .threads(1)
+            .build()
+            .unwrap();
+        let request = ParseRequest::new(utterance.clone());
+        let old_answer = engine.parse(&request).unwrap();
+        assert!(
+            engine.cached(&request).is_some(),
+            "a parsed request is cached"
+        );
+        let class = old_answer.best().program.devices()[0].to_owned();
+
+        let mut library = (*engine.library()).clone();
+        assert!(library.remove_class(&class));
+        engine.swap_world(Arc::new(library), base.model(), Vec::new(), 0);
+        assert_eq!(engine.stats().cache_carried, 1);
+        let carried = engine.cached(&request).expect("the hot entry was carried");
+        let fresh = engine.parse(&request.bypass_cache());
+        assert_eq!(render(&carried), render(&fresh));
+        // No answer of the retired library leaks through.
+        if let Ok(response) = &carried {
+            for candidate in &response.candidates {
+                assert!(!candidate.program.devices().contains(&class.as_str()));
+            }
+        }
     }
 
     #[test]

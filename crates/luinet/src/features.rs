@@ -17,10 +17,11 @@
 //!   candidate-bytes) re-hashing of candidate text for every bucket.
 //!
 //! A trained parser serves its weights from [`AveragedWeights`], a compact
-//! read-only table over the few buckets training touched, and a decode
-//! memoizes the bucket values that depend only on the sentence and the
-//! candidate ([`SentenceIndex::candidate_values`]) so a step mixes and
-//! looks up only its step-dependent buckets ([`StepContext::score_cached`]).
+//! read-only table over the few buckets training touched. Decoding and
+//! training both memoize the buckets that depend only on the sentence and
+//! the candidate ([`SentenceIndex::candidate_buckets`]) with their values,
+//! so a step mixes and looks up only its step-dependent buckets
+//! ([`StepContext::score_cached`]).
 //!
 //! [`candidate_buckets_reference`] is the straightforward monolithic
 //! definition of the same feature scheme (hash everything from scratch for
@@ -256,34 +257,26 @@ impl SentenceIndex {
         self.pairs.binary_search(&(a, b)).is_ok()
     }
 
-    /// How many values [`SentenceIndex::candidate_values`] appends per
+    /// How many buckets [`SentenceIndex::candidate_buckets`] visits per
     /// candidate.
     #[inline]
-    pub fn candidate_value_count(&self) -> usize {
+    pub fn candidate_bucket_count(&self) -> usize {
         3 + self.word_ctx.len()
     }
 
-    /// Append the bucket values of `candidate` that depend only on this
-    /// sentence and the candidate, in bucket order: bias, copy-word (`0.0`
-    /// unless the candidate is an input word), prev-copied, then one per
-    /// content word. [`StepContext::score_cached`] adds them back in
-    /// [`StepContext::for_each_bucket`] order.
-    pub fn candidate_values(
-        &self,
-        weights: &AveragedWeights,
-        candidate: Symbol,
-        cand_hash: u64,
-        out: &mut Vec<f64>,
-    ) {
-        out.push(weights.get(mix_bucket(CTX_BIAS, cand_hash)));
-        out.push(if self.contains(candidate) {
-            weights.get(mix_bucket(CTX_COPY_WORD, cand_hash))
-        } else {
-            0.0
-        });
-        out.push(weights.get(mix_bucket(CTX_PREV_COPIED, cand_hash)));
+    /// Visit the buckets of the candidate with hash `cand_hash` that depend
+    /// only on this sentence and the candidate, in bucket order: bias, copy-word, prev-copied,
+    /// then one per content word. A step reads the copy-word slot only when
+    /// the candidate is an input word, and the prev-copied slot only after
+    /// a copied token. [`StepContext::score_cached`] adds their values back
+    /// in [`StepContext::for_each_bucket`] order.
+    #[inline]
+    pub fn candidate_buckets(&self, cand_hash: u64, mut f: impl FnMut(usize)) {
+        f(mix_bucket(CTX_BIAS, cand_hash));
+        f(mix_bucket(CTX_COPY_WORD, cand_hash));
+        f(mix_bucket(CTX_PREV_COPIED, cand_hash));
         for &word_ctx in &self.word_ctx {
-            out.push(weights.get(mix_bucket(word_ctx, cand_hash)));
+            f(mix_bucket(word_ctx, cand_hash));
         }
     }
 }
@@ -431,38 +424,40 @@ impl<'a> StepContext<'a> {
         }
     }
 
-    /// The averaged-weight sum over this candidate's buckets: the same
-    /// additions in the same order as summing [`AveragedWeights::get`] over
-    /// [`StepContext::for_each_bucket`], so the result is bit-identical,
-    /// but the candidate-only values come from `cached` (filled by
-    /// [`SentenceIndex::candidate_values`]) and only the step-dependent
-    /// buckets are mixed and looked up.
+    /// The sum over this candidate's buckets, in
+    /// [`StepContext::for_each_bucket`] order: `cached` holds one slot per
+    /// [`SentenceIndex::candidate_buckets`] bucket, valued by `cached_value`,
+    /// and only the step-dependent buckets are mixed and valued by `value`.
+    /// With `value(b)` and `cached_value` of `b`'s slot equal to the value
+    /// of `b`, the result is bit-identical to summing `value` over
+    /// [`StepContext::for_each_bucket`]: the additions are the same and in
+    /// the same order.
     #[inline]
-    pub fn score_cached(
+    pub fn score_cached<T>(
         &self,
-        weights: &AveragedWeights,
         candidate: Symbol,
         cand_hash: u64,
-        cached: &[f64],
+        cached: &[T],
+        cached_value: impl Fn(&T) -> f64,
+        value: impl Fn(usize) -> f64,
     ) -> f64 {
-        let (bias, copy_word, prev_copied) = (cached[0], cached[1], cached[2]);
         let mut score = 0.0;
-        score += bias;
+        score += cached_value(&cached[0]);
         for &ctx in &self.ctx_fixed[1..] {
-            score += weights.get(mix_bucket(ctx, cand_hash));
+            score += value(mix_bucket(ctx, cand_hash));
         }
         if self.index.contains(candidate) {
-            score += weights.get(self.copy_bucket);
-            score += copy_word;
+            score += value(self.copy_bucket);
+            score += cached_value(&cached[1]);
         }
         if self.prev_copied {
-            score += prev_copied;
+            score += cached_value(&cached[2]);
             if self.index.has_pair(self.prev1, candidate) {
-                score += weights.get(COPY_NEXT_BUCKET);
+                score += value(COPY_NEXT_BUCKET);
             }
         }
-        for &value in &cached[3..] {
-            score += value;
+        for slot in &cached[3..] {
+            score += cached_value(slot);
         }
         score
     }

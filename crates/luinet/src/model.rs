@@ -38,8 +38,11 @@
 //! `(prev2, prev1, capped position)`, so the beam reuses the steps greedy
 //! decoding already scored. The beam keeps its survivors by a top-`k`
 //! selection that returns exactly what sort → dedup → truncate returns.
-//! Scores are added in the same order as the per-bucket definition, so
-//! every token and score bit is unchanged.
+//! Training keeps the same candidate memo per example, holding the round
+//! snapshot's weights, and reads its shard delta through a write filter
+//! that answers most reads of unwritten buckets without a probe. Scores
+//! are added in the same order as the per-bucket definition, so every
+//! token, score bit and weights digest is unchanged.
 //!
 //! # Deterministic parallel training
 //!
@@ -269,13 +272,61 @@ struct PreparedExample {
     gold: Vec<(Symbol, u64)>,
 }
 
+/// Bits in a [`ShardDelta`]'s write filter (a power of two).
+const DELTA_FILTER_BITS: usize = 1 << 16;
+
 /// Shard-local training result: sparse weight/total deltas against the
 /// round-start snapshot, plus the number of decode steps taken.
-#[derive(Default)]
+///
+/// A shard writes a few hundred buckets per round but reads millions, so a
+/// bitmap over the buckets' low bits records which ones may have been
+/// written: a read whose bit is clear is `0.0` without a map probe.
 struct ShardDelta {
     /// bucket → (weight delta, averaged-total delta).
     deltas: HashMap<u32, (f64, f64), FnvState>,
+    /// Bit `bucket % DELTA_FILTER_BITS` is set once any bucket with those
+    /// low bits is written.
+    written: Box<[u64]>,
     steps: u64,
+}
+
+impl ShardDelta {
+    fn new() -> Self {
+        ShardDelta {
+            deltas: HashMap::default(),
+            written: vec![0; DELTA_FILTER_BITS / 64].into_boxed_slice(),
+            steps: 0,
+        }
+    }
+
+    /// The filter word and bit of a bucket.
+    #[inline]
+    fn filter_bit(bucket: usize) -> (usize, u64) {
+        let bit = bucket & (DELTA_FILTER_BITS - 1);
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// The weight delta of a bucket (`0.0` when the shard never wrote it).
+    #[inline]
+    fn weight(&self, bucket: usize) -> f64 {
+        let (word, mask) = Self::filter_bit(bucket);
+        if self.written[word] & mask == 0 {
+            return 0.0;
+        }
+        self.deltas
+            .get(&(bucket as u32))
+            .map_or(0.0, |&(weight, _)| weight)
+    }
+
+    /// Add to a bucket's weight and averaged-total deltas.
+    #[inline]
+    fn add(&mut self, bucket: usize, weight: f64, total: f64) {
+        let (word, mask) = Self::filter_bit(bucket);
+        self.written[word] |= mask;
+        let slot = self.deltas.entry(bucket as u32).or_default();
+        slot.0 += weight;
+        slot.1 += total;
+    }
 }
 
 /// An in-flight beam hypothesis: a tail pointer into the shared
@@ -384,7 +435,7 @@ impl BeamArena {
 /// values of each candidate, and each scored step's full candidate list.
 struct DecodeMemo<'s> {
     index: &'s SentenceIndex,
-    candidates: CandidateMemo,
+    candidates: CandidateMemo<f64>,
     /// `(prev2, prev1, capped position)` → range of `scores`.
     steps: HashMap<(Symbol, Symbol, u32), (u32, u32), FnvState>,
     /// `(candidate, score)` in the deterministic candidate order.
@@ -402,13 +453,50 @@ impl<'s> DecodeMemo<'s> {
     }
 }
 
-/// The candidate-only bucket values ([`SentenceIndex::candidate_values`])
-/// of every candidate one decode call has scored.
-#[derive(Default)]
-struct CandidateMemo {
-    /// Candidate → offset of its values in `values`.
+/// One slot per candidate-only bucket ([`SentenceIndex::candidate_buckets`])
+/// of every candidate scored against one sentence and one set of weights:
+/// the averaged weight when decoding, `(bucket, snapshot weight)` when
+/// training. A memo is valid only while both stay fixed, so a decode keeps
+/// one per call and a training shard one per example.
+struct CandidateMemo<T> {
+    /// Candidate → offset of its slots in `slots`.
     offsets: HashMap<Symbol, u32, FnvState>,
-    values: Vec<f64>,
+    slots: Vec<T>,
+}
+
+impl<T> Default for CandidateMemo<T> {
+    fn default() -> Self {
+        CandidateMemo {
+            offsets: HashMap::default(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl<T> CandidateMemo<T> {
+    /// The slots of `candidate`, filled by `slot` over its candidate-only
+    /// buckets on first use.
+    #[inline]
+    fn slots(
+        &mut self,
+        index: &SentenceIndex,
+        candidate: Symbol,
+        cand_hash: u64,
+        slot: impl Fn(usize) -> T,
+    ) -> &[T] {
+        let slots = &mut self.slots;
+        let start = *self.offsets.entry(candidate).or_insert_with(|| {
+            let start = slots.len() as u32;
+            index.candidate_buckets(cand_hash, |bucket| slots.push(slot(bucket)));
+            start
+        }) as usize;
+        &slots[start..start + index.candidate_bucket_count()]
+    }
+
+    fn clear(&mut self) {
+        self.offsets.clear();
+        self.slots.clear();
+    }
 }
 
 /// The trainable parser.
@@ -648,41 +736,38 @@ impl LuinetParser {
     /// against the round-start snapshot (`params`, re-merged after every
     /// round), scoring each candidate as snapshot + local delta so the
     /// shard behaves exactly like a sequential perceptron over its chunk.
+    ///
+    /// The snapshot stays fixed for the whole call, so each example keeps a
+    /// [`CandidateMemo`] of its candidates' sentence-only buckets with their
+    /// snapshot weights; only the delta is read live.
     fn train_shard(
         &self,
         params: &TrainParams,
         chunk: &[u32],
         prepared: &[PreparedExample],
     ) -> ShardDelta {
-        let mut delta = ShardDelta::default();
+        let mut delta = ShardDelta::new();
+        let mut memo = CandidateMemo::default();
         let mut buckets: Vec<usize> = Vec::with_capacity(24);
         for &index in chunk {
             let example = &prepared[index as usize];
+            memo.clear();
             let mut prev1 = self.bos;
             let mut prev2 = self.bos;
             for (position, &(gold, gold_hash)) in example.gold.iter().enumerate() {
                 let step = StepContext::new(&example.index, prev1, prev2, position);
-                let (predicted, predicted_hash) = self.best_candidate(
-                    params,
-                    &step,
-                    &example.index,
-                    Some((gold, gold_hash)),
-                    &delta,
-                );
+                let (predicted, predicted_hash) =
+                    self.best_candidate(params, &mut memo, &step, Some((gold, gold_hash)), &delta);
                 delta.steps += 1;
                 let stamp = (self.updates + delta.steps) as f64;
                 if predicted != gold {
                     step.collect_buckets(gold, gold_hash, &mut buckets);
                     for &bucket in &buckets {
-                        let slot = delta.deltas.entry(bucket as u32).or_default();
-                        slot.0 += 1.0;
-                        slot.1 += stamp;
+                        delta.add(bucket, 1.0, stamp);
                     }
                     step.collect_buckets(predicted, predicted_hash, &mut buckets);
                     for &bucket in &buckets {
-                        let slot = delta.deltas.entry(bucket as u32).or_default();
-                        slot.0 -= 1.0;
-                        slot.1 -= stamp;
+                        delta.add(bucket, -1.0, -stamp);
                     }
                 }
                 // Teacher forcing: condition the next step on the gold token.
@@ -728,28 +813,32 @@ impl LuinetParser {
         }
     }
 
-    /// Raw (non-averaged) score of one candidate during training: round-start
-    /// snapshot plus the shard-local delta overlay, plus the pretrained-LM
-    /// contribution.
+    /// Raw (non-averaged) score of one candidate during training: the sum
+    /// over its buckets of round-start snapshot weight plus shard-local
+    /// delta, plus the pretrained-LM contribution. The candidate-only
+    /// buckets and their snapshot weights come from `memo` (which must
+    /// belong to this step's sentence and to `params`); the delta is read
+    /// live, since the shard writes it between steps.
     #[inline]
     fn score_train(
         &self,
         params: &TrainParams,
+        memo: &mut CandidateMemo<(u32, f64)>,
         step: &StepContext<'_>,
         candidate: Symbol,
         candidate_hash: u64,
         delta: &ShardDelta,
     ) -> f64 {
-        let mut score = 0.0;
-        step.for_each_bucket(candidate, candidate_hash, |bucket| {
-            let local = delta
-                .deltas
-                .get(&(bucket as u32))
-                .map(|&(dw, _)| dw)
-                .unwrap_or(0.0);
-            score += params.weight(bucket) as f64 + local;
+        let cached = memo.slots(step.index(), candidate, candidate_hash, |bucket| {
+            (bucket as u32, params.weight(bucket) as f64)
         });
-        score + self.lm_score(step, candidate)
+        step.score_cached(
+            candidate,
+            candidate_hash,
+            cached,
+            |&(bucket, weight)| weight + delta.weight(bucket as usize),
+            |bucket| params.weight(bucket) as f64 + delta.weight(bucket),
+        ) + self.lm_score(step, candidate)
     }
 
     /// Averaged-weight score of one candidate at decode time, with its
@@ -757,21 +846,21 @@ impl LuinetParser {
     #[inline]
     fn score_decode(
         &self,
-        memo: &mut CandidateMemo,
+        memo: &mut CandidateMemo<f64>,
         step: &StepContext<'_>,
         candidate: Symbol,
         candidate_hash: u64,
     ) -> f64 {
-        let index = step.index();
-        let values = &mut memo.values;
-        let start = *memo.offsets.entry(candidate).or_insert_with(|| {
-            let start = values.len() as u32;
-            index.candidate_values(&self.averaged, candidate, candidate_hash, values);
-            start
-        }) as usize;
-        let cached = &values[start..start + index.candidate_value_count()];
-        step.score_cached(&self.averaged, candidate, candidate_hash, cached)
-            + self.lm_score(step, candidate)
+        let cached = memo.slots(step.index(), candidate, candidate_hash, |bucket| {
+            self.averaged.get(bucket)
+        });
+        step.score_cached(
+            candidate,
+            candidate_hash,
+            cached,
+            |&value| value,
+            |bucket| self.averaged.get(bucket),
+        ) + self.lm_score(step, candidate)
     }
 
     /// The scored candidates of the step after `(prev2, prev1)` at
@@ -816,15 +905,15 @@ impl LuinetParser {
     fn best_candidate(
         &self,
         params: &TrainParams,
+        memo: &mut CandidateMemo<(u32, f64)>,
         step: &StepContext<'_>,
-        index: &SentenceIndex,
         gold: Option<(Symbol, u64)>,
         delta: &ShardDelta,
     ) -> (Symbol, u64) {
         let mut best = (self.eos, self.eos_hash);
         let mut best_score = f64::NEG_INFINITY;
-        self.for_each_candidate(index, step.prev1(), gold, |candidate, hash| {
-            let score = self.score_train(params, step, candidate, hash, delta);
+        self.for_each_candidate(step.index(), step.prev1(), gold, |candidate, hash| {
+            let score = self.score_train(params, memo, step, candidate, hash, delta);
             if score > best_score {
                 best_score = score;
                 best = (candidate, hash);
@@ -1686,6 +1775,102 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The memoized training scorer (per-example candidate memo over a
+    /// fixed snapshot, delta read through its write filter) matches the
+    /// plain sum of snapshot weight plus delta over
+    /// [`StepContext::for_each_bucket`] bit for bit. Weights and deltas are
+    /// fractional (trained perceptron weights are small integers, whose
+    /// sums no reordering can change), examples come in a seeded order and
+    /// each step scores a seeded subset of its candidates, so memo slots
+    /// are filled and reused at varied points.
+    #[test]
+    fn memoized_training_score_matches_the_plain_reference() {
+        use rand::Rng;
+        let mut examples = training_set();
+        examples.extend(sharded_training_set());
+        // Copy spans, so steps after a copied token (prev-copied and
+        // span-continuation buckets) are common too.
+        for text in ["see you at noon", "ship it now", "the build is green again"] {
+            for verb in ["tweet", "post"] {
+                examples.push(ParserExample::from_strs(
+                    &format!("{verb} {text}"),
+                    &format!("now => @com.twitter.post ( param:status = \" {text} \" )"),
+                ));
+            }
+        }
+        let mut lm = ProgramLm::new();
+        lm.train(examples.iter().map(|e| &e.program));
+        let mut parser = LuinetParser::new(ModelConfig {
+            epochs: 2,
+            seed: 11,
+            threads: 1,
+            ..ModelConfig::default()
+        })
+        .with_pretrained_lm(lm);
+        parser.train(&examples);
+        let prepared = parser.prepare_examples(&examples);
+        let mut rng = StdRng::seed_from_u64(0x7ea1);
+        let entries: Vec<WeightEntry> = parser
+            .entries
+            .iter()
+            .map(|&(bucket, weight, total)| (bucket, weight + rng.gen_range(-0.5f32..0.5), total))
+            .collect();
+        let params = TrainParams::from_entries(&entries);
+        let mut order: Vec<u32> = (0..examples.len() as u32).collect();
+        order.shuffle(&mut rng);
+        let mut delta = parser.train_shard(&params, &order[..16], &prepared);
+        for &(bucket, _, _) in entries.iter().step_by(5) {
+            delta.add(bucket as usize, rng.gen_range(-0.5..0.5), 0.0);
+        }
+        assert!(
+            delta.deltas.len() > 50,
+            "{} delta buckets",
+            delta.deltas.len()
+        );
+        let plain = |step: &StepContext<'_>, candidate: Symbol, hash: u64| {
+            let mut score = 0.0;
+            step.for_each_bucket(candidate, hash, |bucket| {
+                let local = delta
+                    .deltas
+                    .get(&(bucket as u32))
+                    .map_or(0.0, |&(dw, _)| dw);
+                score += params.weight(bucket) as f64 + local;
+            });
+            score + parser.lm_score(step, candidate)
+        };
+
+        let mut scored = 0;
+        for &index in &order {
+            let example = &prepared[index as usize];
+            let mut memo = CandidateMemo::default();
+            let (mut prev1, mut prev2) = (parser.bos, parser.bos);
+            for (position, &(gold, gold_hash)) in example.gold.iter().enumerate() {
+                let step = StepContext::new(&example.index, prev1, prev2, position);
+                parser.for_each_candidate(
+                    &example.index,
+                    prev1,
+                    Some((gold, gold_hash)),
+                    |candidate, hash| {
+                        if !rng.gen_bool(0.6) {
+                            return;
+                        }
+                        let memoized =
+                            parser.score_train(&params, &mut memo, &step, candidate, hash, &delta);
+                        assert_eq!(
+                            memoized.to_bits(),
+                            plain(&step, candidate, hash).to_bits(),
+                            "example {index}, position {position}"
+                        );
+                        scored += 1;
+                    },
+                );
+                prev2 = prev1;
+                prev1 = gold;
+            }
+        }
+        assert!(scored > 5_000, "only {scored} scores compared");
     }
 
     /// The beam's top-`k` selection equals sort → dedup → truncate on

@@ -512,10 +512,12 @@ fn metrics_fold_engine_counters_without_shadow_counting() {
     let server = serve(engine.clone(), ServerConfig::default());
     let addr = server.local_addr();
 
-    // Same utterance twice: the second is an engine cache hit.
+    // Same utterance twice: the second is an engine cache hit, so a swap
+    // carries the entry into the next world.
     let body = parse_body(&utterances[0]);
     assert_eq!(post(addr, "/v1/parse", &body).status, 200);
     assert_eq!(post(addr, "/v1/parse", &body).status, 200);
+    engine.swap_world(engine.library(), engine.model(), Vec::new(), 0);
 
     let scraped = get(addr, "/metrics");
     assert_eq!(scraped.status, 200);
@@ -528,10 +530,15 @@ fn metrics_fold_engine_counters_without_shadow_counting() {
     let stats = engine.stats();
     assert_eq!(metric(text, "engine_requests_total"), stats.requests);
     assert_eq!(metric(text, "engine_cache_hits_total"), stats.cache_hits);
+    assert_eq!(
+        metric(text, "engine_cache_carried_total"),
+        stats.cache_carried
+    );
     assert!(
         stats.cache_hits >= 1,
         "second identical parse must hit the cache"
     );
+    assert_eq!(stats.cache_carried, 1, "the swap carries the hot entry");
     // Every line is exactly `name value`.
     for line in text.lines() {
         let mut parts = line.split(' ');
