@@ -17,11 +17,14 @@
 //!   candidate-bytes) re-hashing of candidate text for every bucket.
 //!
 //! A trained parser serves its weights from [`AveragedWeights`], a compact
-//! read-only table over the few buckets training touched. Decoding and
-//! training both memoize the buckets that depend only on the sentence and
-//! the candidate ([`SentenceIndex::candidate_buckets`]) with their values,
-//! so a step mixes and looks up only its step-dependent buckets
-//! ([`StepContext::score_cached`]).
+//! read-only table over the few buckets training touched, behind a presence
+//! filter small enough to stay in L1 cache, so the common lookup of a bucket
+//! training never touched costs one bit test. Decoding and training both
+//! memoize the buckets that depend only on the sentence and the candidate
+//! ([`SentenceIndex::candidate_buckets`]) with their values, and decoding
+//! reads each successor's [`prev1_bucket`] value from the compiled
+//! candidate tables, so a step mixes and looks up only the buckets that
+//! depend on the step itself ([`StepContext::score_cached`]).
 //!
 //! [`candidate_buckets_reference`] is the straightforward monolithic
 //! definition of the same feature scheme (hash everything from scratch for
@@ -103,6 +106,14 @@ const CTX_WORD_TAG: u64 = fold_str(FNV_OFFSET, "word");
 #[inline]
 fn ctx_prev1(prev1: &str) -> u64 {
     fold_str(CTX_PREV1_TAG, prev1)
+}
+
+/// The `("prev1", prev1) × candidate` bucket: the one step-dependent
+/// bucket that depends on no sentence, so its value can be compiled next to
+/// each successor of `prev1`.
+#[inline]
+pub fn prev1_bucket(prev1: &str, cand_hash: u64) -> usize {
+    mix_bucket(ctx_prev1(prev1), cand_hash)
 }
 
 #[inline]
@@ -283,17 +294,26 @@ impl SentenceIndex {
 
 /// The served perceptron parameters: the averaged weight of every bucket
 /// training touched, in a read-only open-addressed table (linear probing,
-/// load factor at most 1/4). A bucket missing from the table reads as
-/// `+0.0`, the averaged weight of a bucket training never touched.
+/// load factor at most 1/4) behind a presence filter. A bucket missing from
+/// the table reads as `+0.0`, the averaged weight of a bucket training
+/// never touched.
 ///
 /// Buckets are already the low bits of a mixed hash ([`mix_bucket`]), so
-/// the table indexes by the bucket's own low bits. Most lookups are for
-/// buckets the table lacks; the low load factor lets the first slot decide
-/// nearly every lookup, which measured faster than a half-full table. A
-/// slot is 16 bytes and there are four to eight slots per nonzero bucket,
-/// against 12 bytes for *every* bucket (48 MB) in a dense per-bucket
-/// layout.
+/// both structures index by the bucket's own low bits. Most lookups are for
+/// buckets the table lacks. The filter, one bit per
+/// `next_power_of_two(8 × entries)` low-bit pattern (capped at
+/// [`FEATURE_BUCKETS`] bits; 32 KB for the benchmark world's ~25k entries),
+/// is set for every stored bucket, so a clear bit answers `+0.0` from a
+/// structure that stays in L1 cache, and only about one absent bucket in
+/// eight reaches the 2 MB table. The table's 1/4 load factor keeps the
+/// probes that do reach it, mostly hits, at their first slot. A slot is 16
+/// bytes and there are four to eight slots per nonzero bucket, against 12
+/// bytes for *every* bucket (48 MB) in a dense per-bucket layout.
 pub struct AveragedWeights {
+    /// Bit `bucket & filter_mask` is set when some stored bucket has those
+    /// low bits.
+    filter: Box<[u64]>,
+    filter_mask: usize,
     /// `(bucket, averaged weight)`; [`EMPTY_SLOT`] marks a free slot.
     slots: Box<[(u32, f64)]>,
     mask: usize,
@@ -317,21 +337,37 @@ impl AveragedWeights {
         // At least one free slot always remains, so every probe ends.
         let capacity = (4 * entries.len()).next_power_of_two().max(1);
         let mask = capacity - 1;
+        let filter_bits = (8 * entries.len())
+            .next_power_of_two()
+            .clamp(64, FEATURE_BUCKETS);
+        let filter_mask = filter_bits - 1;
+        let mut filter = vec![0u64; filter_bits / 64].into_boxed_slice();
         let mut slots = vec![(EMPTY_SLOT, 0.0); capacity].into_boxed_slice();
         for (bucket, value) in entries {
+            let bit = bucket as usize & filter_mask;
+            filter[bit / 64] |= 1 << (bit % 64);
             let mut slot = bucket as usize & mask;
             while slots[slot].0 != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
             }
             slots[slot] = (bucket, value);
         }
-        AveragedWeights { slots, mask }
+        AveragedWeights {
+            filter,
+            filter_mask,
+            slots,
+            mask,
+        }
     }
 
     /// The averaged weight of `bucket` (`+0.0` when training never touched
     /// it).
     #[inline]
     pub fn get(&self, bucket: usize) -> f64 {
+        let bit = bucket & self.filter_mask;
+        if self.filter[bit / 64] & (1 << (bit % 64)) == 0 {
+            return 0.0;
+        }
         let mut slot = bucket & self.mask;
         loop {
             let (key, value) = self.slots[slot];
@@ -427,23 +463,27 @@ impl<'a> StepContext<'a> {
     /// The sum over this candidate's buckets, in
     /// [`StepContext::for_each_bucket`] order: `cached` holds one slot per
     /// [`SentenceIndex::candidate_buckets`] bucket, valued by `cached_value`,
-    /// and only the step-dependent buckets are mixed and valued by `value`.
-    /// With `value(b)` and `cached_value` of `b`'s slot equal to the value
-    /// of `b`, the result is bit-identical to summing `value` over
-    /// [`StepContext::for_each_bucket`]: the additions are the same and in
-    /// the same order.
+    /// `prev1_value` is the value of the candidate's [`prev1_bucket`] when
+    /// the caller has it compiled (`None` mixes and values it here), and
+    /// the other step-dependent buckets are mixed and valued by `value`.
+    /// With `value(b)`, `prev1_value` and `cached_value` of `b`'s slot equal
+    /// to the value of `b`, the result is bit-identical to summing `value`
+    /// over [`StepContext::for_each_bucket`]: the additions are the same
+    /// and in the same order.
     #[inline]
     pub fn score_cached<T>(
         &self,
         candidate: Symbol,
         cand_hash: u64,
+        prev1_value: Option<f64>,
         cached: &[T],
         cached_value: impl Fn(&T) -> f64,
         value: impl Fn(usize) -> f64,
     ) -> f64 {
         let mut score = 0.0;
         score += cached_value(&cached[0]);
-        for &ctx in &self.ctx_fixed[1..] {
+        score += prev1_value.unwrap_or_else(|| value(mix_bucket(self.ctx_fixed[1], cand_hash)));
+        for &ctx in &self.ctx_fixed[2..] {
             score += value(mix_bucket(ctx, cand_hash));
         }
         if self.index.contains(candidate) {
@@ -606,6 +646,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The presence filter never hides a stored bucket: on seeded entry
+    /// sets (empty, one entry, buckets that share filter bits or table
+    /// slots, the first and last bucket) `get` equals a plain map lookup,
+    /// bit for bit, on every present bucket and on a seeded sample of
+    /// absent ones, including absent buckets whose filter bit is set.
+    #[test]
+    fn presence_filter_matches_a_plain_map() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        let mut rng = StdRng::seed_from_u64(0xf117e2);
+        let last = FEATURE_BUCKETS - 1;
+        let mut sets: Vec<Vec<usize>> = vec![Vec::new(), vec![0], vec![last], vec![0, last]];
+        for size in [1usize, 2, 7, 8, 9, 100, 3000, 40_000] {
+            sets.push(
+                (0..size)
+                    .map(|_| rng.gen_range(0..FEATURE_BUCKETS))
+                    .collect(),
+            );
+        }
+        // Buckets equal in their low bits share a filter bit and a home
+        // slot, whatever the table and filter sizes; runs of neighbours
+        // share probe chains.
+        for stride in [64usize, 1 << 10, 1 << 16, 1 << 21] {
+            let base = rng.gen_range(0..stride);
+            sets.push(
+                (0..FEATURE_BUCKETS / stride)
+                    .take(300)
+                    .map(|i| base + i * stride)
+                    .collect(),
+            );
+        }
+        sets.push((0..200).chain(last - 200..=last).collect());
+
+        for (set_number, mut buckets) in sets.into_iter().enumerate() {
+            buckets.sort_unstable();
+            buckets.dedup();
+            let mut values = [0.0, -0.0, 1.0, -2.5, 0.125].into_iter().cycle();
+            let plain: HashMap<usize, f64> = buckets
+                .iter()
+                .map(|&bucket| {
+                    let value = values.next().unwrap() + f64::from(rng.gen_range(-3i8..3));
+                    (bucket, value)
+                })
+                .collect();
+            let table = AveragedWeights::build(plain.iter().map(|(&b, &v)| (b as u32, v)));
+            let expect = |bucket: usize| plain.get(&bucket).copied().unwrap_or(0.0).to_bits();
+            for &bucket in &buckets {
+                assert_eq!(
+                    table.get(bucket).to_bits(),
+                    expect(bucket),
+                    "set {set_number}"
+                );
+            }
+            let filter_bits = table.filter_mask + 1;
+            let mut absent: Vec<usize> = (0..2000)
+                .map(|_| rng.gen_range(0..FEATURE_BUCKETS))
+                .collect();
+            for &bucket in buckets.iter().take(500) {
+                absent.extend([
+                    bucket ^ filter_bits,
+                    bucket.wrapping_sub(1) & last,
+                    (bucket + 1) & last,
+                ]);
+            }
+            for bucket in absent {
+                assert_eq!(
+                    table.get(bucket).to_bits(),
+                    expect(bucket),
+                    "set {set_number}, bucket {bucket}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn presence_filter_is_sized_from_the_entry_count() {
+        let bits = |entries: usize| {
+            let table = AveragedWeights::build((0..entries as u32).map(|b| (b * 7, 1.0)));
+            (table.filter_mask + 1, table.filter.len() * 64)
+        };
+        assert_eq!(bits(0), (64, 64));
+        assert_eq!(bits(1), (64, 64));
+        assert_eq!(bits(24_637), (1 << 18, 1 << 18));
+        // Capped at one bit per bucket.
+        assert_eq!(
+            AveragedWeights::build((0..530_000u32).map(|b| (b * 7, 1.0))).filter_mask + 1,
+            FEATURE_BUCKETS
+        );
     }
 
     #[test]

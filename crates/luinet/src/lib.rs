@@ -40,7 +40,7 @@
 //!
 //! A trained parser keeps its weights sparse: the nonzero `(bucket,
 //! weight, total)` entries plus a compact table of their averaged values
-//! ([`features::AveragedWeights`]). Training works on a sparse scratch
+//! behind a presence filter ([`features::AveragedWeights`]). Training works on a sparse scratch
 //! table of the buckets it writes, which exists only inside
 //! [`model::LuinetParser::train`] and [`model::LuinetParser::fine_tune`].
 //! Each decode call memoizes the

@@ -30,19 +30,23 @@
 //! sparse `(bucket, weight, total)` entries on entry and folds it back on
 //! exit. A trained parser keeps just those entries (what the weights
 //! digest and snapshots fold) plus an [`AveragedWeights`] table of their
-//! averaged values.
+//! averaged values. The compiled candidate tables carry, per successor,
+//! the averaged weight of its `prev1` bucket (which no sentence changes)
+//! and a dense memo key; every change to the tables or the weights rebinds
+//! both (`LuinetParser::rebind`).
 //!
 //! One decode call ([`LuinetParser::predict`] or
 //! [`LuinetParser::predict_topk`]) shares a memo: the candidate-only bucket
-//! values of every candidate it scores, and every scored step keyed by
-//! `(prev2, prev1, capped position)`, so the beam reuses the steps greedy
-//! decoding already scored. The beam keeps its survivors by a top-`k`
-//! selection that returns exactly what sort → dedup → truncate returns.
-//! Training keeps the same candidate memo per example, holding the round
-//! snapshot's weights, and reads its shard delta through a write filter
-//! that answers most reads of unwritten buckets without a probe. Scores
-//! are added in the same order as the per-bucket definition, so every
-//! token, score bit and weights digest is unchanged.
+//! values of every candidate it scores, addressed by the candidate's dense
+//! key, and every scored step keyed by `(prev2, prev1, capped position)`,
+//! so the beam reuses the steps greedy decoding already scored. The beam
+//! keeps its survivors by a top-`k` selection that returns exactly what
+//! sort → dedup → truncate returns. Training keeps the same candidate memo
+//! per example, holding the round snapshot's weights, and reads its shard
+//! delta through a write filter that answers most reads of unwritten
+//! buckets without a probe. Scores are added in the same order as the
+//! per-bucket definition, so every token, score bit and weights digest is
+//! unchanged.
 //!
 //! # Deterministic parallel training
 //!
@@ -71,7 +75,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::data::ParserExample;
-use crate::features::{cand_hash, AveragedWeights, SentenceIndex, StepContext, POSITION_CAP};
+use crate::features::{
+    cand_hash, prev1_bucket, AveragedWeights, SentenceIndex, StepContext, POSITION_CAP,
+};
 use crate::lm::ProgramLm;
 use crate::vocab::{bos_symbol, eos_symbol, Vocab};
 
@@ -162,18 +168,49 @@ pub struct ScoredPrediction {
 /// follow it in training, sorted by resolved text (a process-history-
 /// independent order), each with its cached candidate-half feature hash,
 /// plus an id-sorted membership index.
+///
+/// [`CompiledTransitions::bind`] gives every successor token its
+/// [`CandidateMemo`] key and the served weight of its `prev1` bucket; the
+/// parser rebinds whenever the tables or the served weights change
+/// ([`LuinetParser::rebind`]).
 #[derive(Default)]
 pub(crate) struct CompiledTransitions {
     pub(crate) map: HashMap<Symbol, SuccessorEntry, FnvState>,
+    /// Successor token → memo key (from 1; [`EOS_KEY`] is end-of-sequence).
+    keys: HashMap<Symbol, u32, FnvState>,
 }
 
 #[derive(Default)]
 pub(crate) struct SuccessorEntry {
-    /// `(token, candidate-half hash)` in text order — the iteration order
-    /// candidates are scored in (ties in the argmax go to the first seen).
-    pub(crate) candidates: Box<[(Symbol, u64)]>,
+    /// The successors in text order — the iteration order candidates are
+    /// scored in (ties in the argmax go to the first seen).
+    pub(crate) candidates: Box<[Successor]>,
     /// The same tokens sorted by raw id, for O(log n) membership.
     pub(crate) members: Box<[Symbol]>,
+}
+
+/// One compiled successor of a `prev1`.
+pub(crate) struct Successor {
+    pub(crate) token: Symbol,
+    /// The token's memo key (set by [`CompiledTransitions::bind`]).
+    key: u32,
+    /// The candidate-half feature hash.
+    pub(crate) hash: u64,
+    /// The served weight of the `(prev1, token)` bucket ([`prev1_bucket`]),
+    /// which no sentence changes (set by [`CompiledTransitions::bind`]).
+    prev1_weight: f64,
+}
+
+impl Successor {
+    /// A successor not yet bound to a memo key or to served weights.
+    pub(crate) fn unbound(token: Symbol, hash: u64) -> Self {
+        Successor {
+            token,
+            key: EOS_KEY,
+            hash,
+            prev1_weight: 0.0,
+        }
+    }
 }
 
 impl SuccessorEntry {
@@ -183,16 +220,20 @@ impl SuccessorEntry {
     }
 }
 
+/// The memo key of the end-of-sequence token, whether or not any `prev1`
+/// lists it.
+const EOS_KEY: u32 = 0;
+
 impl CompiledTransitions {
     fn compile(lm: &ProgramLm) -> Self {
         let interner: &'static genie_nlp::Interner = genie_nlp::intern::shared();
         let mut map: HashMap<Symbol, SuccessorEntry, FnvState> = HashMap::default();
         for (prev, successors) in lm.successor_entries() {
-            let mut candidates: Vec<(Symbol, u64)> = successors
+            let mut candidates: Vec<Successor> = successors
                 .iter()
-                .map(|&s| (s, cand_hash(interner.resolve(s))))
+                .map(|&s| Successor::unbound(s, cand_hash(interner.resolve(s))))
                 .collect();
-            candidates.sort_unstable_by_key(|&(s, _)| interner.resolve(s));
+            candidates.sort_unstable_by_key(|successor| interner.resolve(successor.token));
             let mut members: Vec<Symbol> = successors.to_vec();
             members.sort_unstable();
             map.insert(
@@ -203,13 +244,69 @@ impl CompiledTransitions {
                 },
             );
         }
-        CompiledTransitions { map }
+        CompiledTransitions::from_map(map)
+    }
+
+    /// Tables read back as they were compiled, still to be bound.
+    pub(crate) fn from_map(map: HashMap<Symbol, SuccessorEntry, FnvState>) -> Self {
+        CompiledTransitions {
+            map,
+            keys: HashMap::default(),
+        }
+    }
+
+    /// Give every successor token its memo key and compile each
+    /// successor's `prev1` weight from `averaged`. Keys only address memo
+    /// slots, so the map order that assigns them never reaches a score.
+    fn bind(&mut self, averaged: &AveragedWeights, eos: Symbol) {
+        let interner: &'static genie_nlp::Interner = genie_nlp::intern::shared();
+        let keys = &mut self.keys;
+        keys.clear();
+        for (&prev, entry) in &mut self.map {
+            let prev_text = interner.resolve(prev);
+            for successor in entry.candidates.iter_mut() {
+                let next = keys.len() as u32 + 1;
+                successor.key = if successor.token == eos {
+                    EOS_KEY
+                } else {
+                    *keys.entry(successor.token).or_insert(next)
+                };
+                successor.prev1_weight = averaged.get(prev1_bucket(prev_text, successor.hash));
+            }
+        }
+    }
+
+    /// The memo key of a successor token (end-of-sequence always has one).
+    fn key(&self, token: Symbol, eos: Symbol) -> Option<u32> {
+        if token == eos {
+            return Some(EOS_KEY);
+        }
+        self.keys.get(&token).copied()
+    }
+
+    /// How many memo keys successor tokens use; copy candidates take the
+    /// keys after them.
+    #[inline]
+    fn key_count(&self) -> u32 {
+        self.keys.len() as u32 + 1
     }
 
     #[inline]
     fn get(&self, prev: Symbol) -> Option<&SuccessorEntry> {
         self.map.get(&prev)
     }
+}
+
+/// A candidate next-token as scoring sees it.
+#[derive(Clone, Copy)]
+struct Candidate {
+    token: Symbol,
+    /// Its [`CandidateMemo`] key.
+    key: u32,
+    /// The candidate-half feature hash.
+    hash: u64,
+    /// The compiled served weight of its `prev1` bucket (successors only).
+    prev1_weight: Option<f64>,
 }
 
 /// One nonzero averaged-perceptron parameter: `(bucket, raw weight,
@@ -266,10 +363,10 @@ impl TrainParams {
 
 /// A training example prepared once per [`LuinetParser::train`] call and
 /// reused by every epoch: the sentence index and the gold program with
-/// end-of-sequence appended and candidate-half hashes cached.
+/// end-of-sequence appended, candidate-half hashes and memo keys cached.
 struct PreparedExample {
     index: SentenceIndex,
-    gold: Vec<(Symbol, u64)>,
+    gold: Vec<Candidate>,
 }
 
 /// Bits in a [`ShardDelta`]'s write filter (a power of two).
@@ -442,32 +539,35 @@ struct DecodeMemo<'s> {
     scores: Vec<(Symbol, f64)>,
 }
 
-impl<'s> DecodeMemo<'s> {
-    fn new(index: &'s SentenceIndex) -> Self {
-        DecodeMemo {
-            index,
-            candidates: CandidateMemo::default(),
-            steps: HashMap::default(),
-            scores: Vec::new(),
-        }
-    }
-}
-
 /// One slot per candidate-only bucket ([`SentenceIndex::candidate_buckets`])
 /// of every candidate scored against one sentence and one set of weights:
 /// the averaged weight when decoding, `(bucket, snapshot weight)` when
-/// training. A memo is valid only while both stay fixed, so a decode keeps
-/// one per call and a training shard one per example.
+/// training. A memo is valid only while both stay fixed, so a decode clears
+/// it per call and a training shard per example.
+///
+/// Candidates are addressed by their dense key, not by symbol id: a
+/// successor token's key comes from [`CompiledTransitions::bind`], and the
+/// sentence's `i`-th distinct word is a copy candidate under key
+/// `key_count + i`. Keys are bounded by the successor vocabulary plus the
+/// sentence length, so words interned after training (or worker-local
+/// symbols) never size an allocation. A clear resets only the keys it
+/// filled and keeps every buffer's capacity.
 struct CandidateMemo<T> {
-    /// Candidate → offset of its slots in `slots`.
-    offsets: HashMap<Symbol, u32, FnvState>,
+    /// Key → offset of its slots in `slots` ([`UNFILLED`] when unfilled).
+    offsets: Vec<u32>,
+    /// The keys filled since the last clear.
+    touched: Vec<u32>,
     slots: Vec<T>,
 }
+
+/// The offset of a memo key no candidate has filled.
+const UNFILLED: u32 = u32::MAX;
 
 impl<T> Default for CandidateMemo<T> {
     fn default() -> Self {
         CandidateMemo {
-            offsets: HashMap::default(),
+            offsets: Vec::new(),
+            touched: Vec::new(),
             slots: Vec::new(),
         }
     }
@@ -480,21 +580,38 @@ impl<T> CandidateMemo<T> {
     fn slots(
         &mut self,
         index: &SentenceIndex,
-        candidate: Symbol,
-        cand_hash: u64,
+        candidate: &Candidate,
         slot: impl Fn(usize) -> T,
     ) -> &[T] {
-        let slots = &mut self.slots;
-        let start = *self.offsets.entry(candidate).or_insert_with(|| {
-            let start = slots.len() as u32;
-            index.candidate_buckets(cand_hash, |bucket| slots.push(slot(bucket)));
-            start
-        }) as usize;
-        &slots[start..start + index.candidate_bucket_count()]
+        let key = candidate.key as usize;
+        if key >= self.offsets.len() {
+            self.offsets.resize(key + 1, UNFILLED);
+        }
+        let mut start = self.offsets[key];
+        if start == UNFILLED {
+            start = self.slots.len() as u32;
+            let slots = &mut self.slots;
+            index.candidate_buckets(candidate.hash, |bucket| slots.push(slot(bucket)));
+            self.offsets[key] = start;
+            self.touched.push(key as u32);
+        }
+        let start = start as usize;
+        &self.slots[start..start + index.candidate_bucket_count()]
+    }
+
+    /// Make keys below `keys` addressable without growing past them.
+    fn reserve_keys(&mut self, keys: usize) {
+        if keys > self.offsets.len() {
+            self.offsets.reserve_exact(keys - self.offsets.len());
+            self.offsets.resize(keys, UNFILLED);
+        }
     }
 
     fn clear(&mut self) {
-        self.offsets.clear();
+        for &key in &self.touched {
+            self.offsets[key as usize] = UNFILLED;
+        }
+        self.touched.clear();
         self.slots.clear();
     }
 }
@@ -593,6 +710,14 @@ impl LuinetParser {
         });
         self.averaged = AveragedWeights::build(averaged);
         self.entries = entries;
+        self.rebind();
+    }
+
+    /// Bind the compiled successor tables to the served weights. Every
+    /// change to `compiled` or `averaged` ends here: [`LuinetParser::install`]
+    /// (train, fine-tune and snapshot load) and `absorb_programs`.
+    fn rebind(&mut self) {
+        self.compiled.bind(&self.averaged, self.eos);
     }
 
     /// Train on the given examples (teacher forcing, averaged perceptron,
@@ -676,27 +801,71 @@ impl LuinetParser {
         }
         self.trained_examples += examples.len();
         self.compiled = CompiledTransitions::compile(&self.transitions);
+        self.rebind();
     }
 
     /// Per-example state, prepared once per train call (not per epoch):
-    /// the sentence index and the gold chain with cached hashes.
+    /// the sentence index and the gold chain with cached hashes and keys.
     fn prepare_examples(&self, examples: &[ParserExample]) -> Vec<PreparedExample> {
         let interner: &'static genie_nlp::Interner = genie_nlp::intern::shared();
         genie_parallel::par_map(self.config.threads, examples, |_, example| {
+            let index = SentenceIndex::build(&example.sentence);
+            // Absorbing the programs made every gold token a successor, so
+            // each has a key; a token without one would take a key past the
+            // copy keys, unique to its position.
+            let unkeyed = self.copy_key(index.distinct_words().len());
             let gold = example
                 .program
                 .iter()
-                .map(|token| {
-                    let symbol = interner.intern(token);
-                    (symbol, cand_hash(token))
-                })
+                .map(|token| (interner.intern(token), cand_hash(token)))
                 .chain(std::iter::once((self.eos, self.eos_hash)))
+                .enumerate()
+                .map(|(position, (token, hash))| Candidate {
+                    token,
+                    key: self
+                        .compiled
+                        .key(token, self.eos)
+                        .unwrap_or(unkeyed + position as u32),
+                    hash,
+                    prev1_weight: None,
+                })
                 .collect();
-            PreparedExample {
-                index: SentenceIndex::build(&example.sentence),
-                gold,
-            }
+            PreparedExample { index, gold }
         })
+    }
+
+    /// The memo key of a sentence's `i`-th distinct word as a copy
+    /// candidate.
+    #[inline]
+    fn copy_key(&self, i: usize) -> u32 {
+        self.compiled.key_count() + i as u32
+    }
+
+    /// The end-of-sequence candidate, with its `prev1` bucket looked up.
+    fn eos_candidate(&self) -> Candidate {
+        Candidate {
+            token: self.eos,
+            key: EOS_KEY,
+            hash: self.eos_hash,
+            prev1_weight: None,
+        }
+    }
+
+    /// A decode memo for `index` over a candidate memo whose capacity it
+    /// reuses.
+    fn decode_memo<'s>(
+        &self,
+        index: &'s SentenceIndex,
+        mut candidates: CandidateMemo<f64>,
+    ) -> DecodeMemo<'s> {
+        candidates.clear();
+        candidates.reserve_keys(self.copy_key(index.distinct_words().len()) as usize);
+        DecodeMemo {
+            index,
+            candidates,
+            steps: HashMap::default(),
+            scores: Vec::new(),
+        }
     }
 
     /// One epoch of mixing rounds over a shuffled order: each round hands
@@ -754,61 +923,72 @@ impl LuinetParser {
             memo.clear();
             let mut prev1 = self.bos;
             let mut prev2 = self.bos;
-            for (position, &(gold, gold_hash)) in example.gold.iter().enumerate() {
+            for (position, &gold) in example.gold.iter().enumerate() {
                 let step = StepContext::new(&example.index, prev1, prev2, position);
-                let (predicted, predicted_hash) =
-                    self.best_candidate(params, &mut memo, &step, Some((gold, gold_hash)), &delta);
+                let predicted = self.best_candidate(params, &mut memo, &step, gold, &delta);
                 delta.steps += 1;
                 let stamp = (self.updates + delta.steps) as f64;
-                if predicted != gold {
-                    step.collect_buckets(gold, gold_hash, &mut buckets);
+                if predicted.token != gold.token {
+                    step.collect_buckets(gold.token, gold.hash, &mut buckets);
                     for &bucket in &buckets {
                         delta.add(bucket, 1.0, stamp);
                     }
-                    step.collect_buckets(predicted, predicted_hash, &mut buckets);
+                    step.collect_buckets(predicted.token, predicted.hash, &mut buckets);
                     for &bucket in &buckets {
                         delta.add(bucket, -1.0, -stamp);
                     }
                 }
                 // Teacher forcing: condition the next step on the gold token.
                 prev2 = prev1;
-                prev1 = gold;
+                prev1 = gold.token;
             }
         }
         delta
     }
 
     /// Visit the candidate next-tokens in the deterministic scoring order:
-    /// the compiled successors of `prev1` (text order), then the sentence's
-    /// distinct words not already among them (first-occurrence order, the
-    /// copy actions), then the end-of-sequence token, then — in training —
-    /// the gold token when no other source proposed it.
+    /// the compiled successors of `prev1` (text order, with their compiled
+    /// `prev1` weights), then the sentence's distinct words not already
+    /// among them (first-occurrence order, the copy actions), then the
+    /// end-of-sequence token, then — in training — the gold token when no
+    /// other source proposed it.
     #[inline]
     fn for_each_candidate(
         &self,
         index: &SentenceIndex,
         prev1: Symbol,
-        gold: Option<(Symbol, u64)>,
-        mut f: impl FnMut(Symbol, u64),
+        gold: Option<Candidate>,
+        mut f: impl FnMut(Candidate),
     ) {
         let successors = self.compiled.get(prev1);
         if let Some(entry) = successors {
-            for &(token, hash) in entry.candidates.iter() {
-                f(token, hash);
+            for successor in entry.candidates.iter() {
+                f(Candidate {
+                    token: successor.token,
+                    key: successor.key,
+                    hash: successor.hash,
+                    prev1_weight: Some(successor.prev1_weight),
+                });
             }
         }
         let in_successors = |token: Symbol| successors.is_some_and(|entry| entry.contains(token));
-        for &(word, hash) in index.distinct_words() {
+        for (i, &(word, hash)) in index.distinct_words().iter().enumerate() {
             if !in_successors(word) {
-                f(word, hash);
+                f(Candidate {
+                    token: word,
+                    key: self.copy_key(i),
+                    hash,
+                    prev1_weight: None,
+                });
             }
         }
         if !in_successors(self.eos) && !index.contains(self.eos) {
-            f(self.eos, self.eos_hash);
+            f(self.eos_candidate());
         }
-        if let Some((gold, gold_hash)) = gold {
-            if !in_successors(gold) && !index.contains(gold) && gold != self.eos {
-                f(gold, gold_hash);
+        if let Some(gold) = gold {
+            let token = gold.token;
+            if !in_successors(token) && !index.contains(token) && token != self.eos {
+                f(gold);
             }
         }
     }
@@ -818,49 +998,50 @@ impl LuinetParser {
     /// delta, plus the pretrained-LM contribution. The candidate-only
     /// buckets and their snapshot weights come from `memo` (which must
     /// belong to this step's sentence and to `params`); the delta is read
-    /// live, since the shard writes it between steps.
+    /// live, since the shard writes it between steps. The compiled `prev1`
+    /// weights are served weights, so training looks that bucket up too.
     #[inline]
     fn score_train(
         &self,
         params: &TrainParams,
         memo: &mut CandidateMemo<(u32, f64)>,
         step: &StepContext<'_>,
-        candidate: Symbol,
-        candidate_hash: u64,
+        candidate: &Candidate,
         delta: &ShardDelta,
     ) -> f64 {
-        let cached = memo.slots(step.index(), candidate, candidate_hash, |bucket| {
+        let cached = memo.slots(step.index(), candidate, |bucket| {
             (bucket as u32, params.weight(bucket) as f64)
         });
         step.score_cached(
-            candidate,
-            candidate_hash,
+            candidate.token,
+            candidate.hash,
+            None,
             cached,
             |&(bucket, weight)| weight + delta.weight(bucket as usize),
             |bucket| params.weight(bucket) as f64 + delta.weight(bucket),
-        ) + self.lm_score(step, candidate)
+        ) + self.lm_score(step, candidate.token)
     }
 
     /// Averaged-weight score of one candidate at decode time, with its
-    /// candidate-only bucket values memoized for the rest of the call.
+    /// candidate-only bucket values memoized for the rest of the call and
+    /// its compiled `prev1` weight, when it has one, read from the
+    /// candidate.
     #[inline]
     fn score_decode(
         &self,
         memo: &mut CandidateMemo<f64>,
         step: &StepContext<'_>,
-        candidate: Symbol,
-        candidate_hash: u64,
+        candidate: &Candidate,
     ) -> f64 {
-        let cached = memo.slots(step.index(), candidate, candidate_hash, |bucket| {
-            self.averaged.get(bucket)
-        });
+        let cached = memo.slots(step.index(), candidate, |bucket| self.averaged.get(bucket));
         step.score_cached(
-            candidate,
-            candidate_hash,
+            candidate.token,
+            candidate.hash,
+            candidate.prev1_weight,
             cached,
             |&value| value,
             |bucket| self.averaged.get(bucket),
-        ) + self.lm_score(step, candidate)
+        ) + self.lm_score(step, candidate.token)
     }
 
     /// The scored candidates of the step after `(prev2, prev1)` at
@@ -880,9 +1061,9 @@ impl LuinetParser {
         let index = memo.index;
         let step = StepContext::new(index, prev1, prev2, position);
         let start = memo.scores.len();
-        self.for_each_candidate(index, prev1, None, |candidate, hash| {
-            let score = self.score_decode(&mut memo.candidates, &step, candidate, hash);
-            memo.scores.push((candidate, score));
+        self.for_each_candidate(index, prev1, None, |candidate| {
+            let score = self.score_decode(&mut memo.candidates, &step, &candidate);
+            memo.scores.push((candidate.token, score));
         });
         let end = memo.scores.len();
         memo.steps.insert(key, (start as u32, end as u32));
@@ -907,16 +1088,16 @@ impl LuinetParser {
         params: &TrainParams,
         memo: &mut CandidateMemo<(u32, f64)>,
         step: &StepContext<'_>,
-        gold: Option<(Symbol, u64)>,
+        gold: Candidate,
         delta: &ShardDelta,
-    ) -> (Symbol, u64) {
-        let mut best = (self.eos, self.eos_hash);
+    ) -> Candidate {
+        let mut best = self.eos_candidate();
         let mut best_score = f64::NEG_INFINITY;
-        self.for_each_candidate(step.index(), step.prev1(), gold, |candidate, hash| {
-            let score = self.score_train(params, memo, step, candidate, hash, delta);
+        self.for_each_candidate(step.index(), step.prev1(), Some(gold), |candidate| {
+            let score = self.score_train(params, memo, step, &candidate, delta);
             if score > best_score {
                 best_score = score;
-                best = (candidate, hash);
+                best = candidate;
             }
         });
         best
@@ -956,7 +1137,7 @@ impl LuinetParser {
             // Score the closing end-of-sequence step the decode never took,
             // so normalized scores stay comparable with finished sequences.
             let step = StepContext::new(memo.index, prev1, prev2, out.len());
-            total += self.score_decode(&mut memo.candidates, &step, self.eos, self.eos_hash);
+            total += self.score_decode(&mut memo.candidates, &step, &self.eos_candidate());
             steps += 1;
         }
         (out, total / steps.max(1) as f64)
@@ -966,7 +1147,8 @@ impl LuinetParser {
     /// weights).
     pub fn predict(&self, sentence: &[Symbol]) -> Vec<String> {
         let index = SentenceIndex::build(sentence);
-        let (tokens, _) = self.decode_greedy(&mut DecodeMemo::new(&index));
+        let (tokens, _) =
+            self.decode_greedy(&mut self.decode_memo(&index, CandidateMemo::default()));
         resolve_tokens(&tokens)
     }
 
@@ -985,8 +1167,12 @@ impl LuinetParser {
     /// property the serving cache depends on.
     pub fn predict_topk(&self, sentence: &[Symbol], k: usize) -> Vec<ScoredPrediction> {
         let index = SentenceIndex::build(sentence);
-        let mut memo = DecodeMemo::new(&index);
-        let (greedy_tokens, greedy_score) = self.decode_greedy(&mut memo);
+        self.decode_topk(&mut self.decode_memo(&index, CandidateMemo::default()), k)
+    }
+
+    /// [`LuinetParser::predict_topk`] over a prepared memo.
+    fn decode_topk(&self, memo: &mut DecodeMemo<'_>, k: usize) -> Vec<ScoredPrediction> {
+        let (greedy_tokens, greedy_score) = self.decode_greedy(memo);
         let greedy_tokens = resolve_tokens(&greedy_tokens);
         let mut out = vec![ScoredPrediction {
             tokens: greedy_tokens,
@@ -996,7 +1182,7 @@ impl LuinetParser {
             return out;
         }
         let mut arena = BeamArena::default();
-        for hypothesis in self.beam(&mut memo, k, &mut arena) {
+        for hypothesis in self.beam(memo, k, &mut arena) {
             if out.len() >= k {
                 break;
             }
@@ -1127,7 +1313,8 @@ impl LuinetParser {
         let interner: &'static genie_nlp::Interner = genie_nlp::intern::shared();
         let correct = genie_parallel::par_map(self.config.threads, examples, |_, example| {
             let index = SentenceIndex::build(&example.sentence);
-            let (tokens, _) = self.decode_greedy(&mut DecodeMemo::new(&index));
+            let (tokens, _) =
+                self.decode_greedy(&mut self.decode_memo(&index, CandidateMemo::default()));
             tokens.len() == example.program.len()
                 && tokens
                     .iter()
@@ -1620,11 +1807,11 @@ mod tests {
         for position in 0..parser.config.max_length {
             let step = StepContext::new(&index, prev1, prev2, position);
             let (mut best, mut best_score) = (parser.eos, f64::NEG_INFINITY);
-            parser.for_each_candidate(&index, prev1, None, |candidate, hash| {
-                let value = score(&step, candidate, hash);
+            parser.for_each_candidate(&index, prev1, None, |candidate| {
+                let value = score(&step, candidate.token, candidate.hash);
                 if value > best_score {
                     best_score = value;
-                    best = candidate;
+                    best = candidate.token;
                 }
             });
             total += best_score;
@@ -1668,16 +1855,17 @@ mod tests {
                     }
                     let step =
                         StepContext::new(&index, hypothesis.prev1, hypothesis.prev2, position);
-                    parser.for_each_candidate(&index, hypothesis.prev1, None, |candidate, hash| {
+                    parser.for_each_candidate(&index, hypothesis.prev1, None, |candidate| {
+                        let token = candidate.token;
                         let mut extended = *hypothesis;
-                        extended.score += score(&step, candidate, hash);
+                        extended.score += score(&step, token, candidate.hash);
                         extended.steps += 1;
-                        if candidate == parser.eos {
+                        if token == parser.eos {
                             extended.finished = true;
                         } else {
                             extended.prev2 = extended.prev1;
-                            extended.prev1 = candidate;
-                            extended.tail = arena.push(hypothesis.tail, candidate);
+                            extended.prev1 = token;
+                            extended.tail = arena.push(hypothesis.tail, token);
                             extended.len += 1;
                         }
                         next.push(extended);
@@ -1716,11 +1904,15 @@ mod tests {
             .collect()
     }
 
-    /// The memoized decoder (sparse table, candidate-value memo, step memo,
-    /// top-k selection) matches the plain reference in tokens and score
-    /// bits, for greedy and beam decoding, on trained parsers (with and
-    /// without the pretrained LM, and one whose short length cap cuts most
-    /// decodes before they end) and on an untrained one.
+    /// The memoized decoder (filtered sparse table, compiled `prev1`
+    /// weights, candidate-value memo, step memo, top-k selection) matches
+    /// the plain reference in tokens and score bits, for greedy and beam
+    /// decoding, on trained parsers (with and without the pretrained LM,
+    /// and one whose short length cap cuts most decodes before they end),
+    /// on an untrained one, and on parsers whose successor tables changed
+    /// without new weights: after `fine_tune(.., 0)` brought new
+    /// successors, after `train(&[])`, and after save → load. It also
+    /// decodes sentences whose words were interned after training.
     #[test]
     fn memoized_decode_matches_the_plain_reference() {
         let mut examples = training_set();
@@ -1758,12 +1950,57 @@ mod tests {
         short.train(&training_set());
         let untrained = LuinetParser::new(ModelConfig::default());
 
-        for (name, parser, count) in [
-            ("with_lm", &with_lm, sentences.len()),
-            ("short", &short, 40),
-            ("untrained", &untrained, 10),
+        let base = || {
+            let mut parser = LuinetParser::new(ModelConfig {
+                epochs: 3,
+                seed: 6,
+                threads: 1,
+                ..ModelConfig::default()
+            });
+            parser.train(&training_set());
+            parser
+        };
+        // New programs bring new successors (and new tokens) but, with no
+        // epochs, no new weights.
+        let mut absorbed = base();
+        absorbed.fine_tune(
+            &[
+                ParserExample::from_strs(
+                    "show me my instagram stuff",
+                    "now => @com.instagram.feed ( ) => notify",
+                ),
+                ParserExample::from_strs(
+                    "tweet hello then notify",
+                    "now => @com.twitter.post ( param:status = \" hello \" ) => notify",
+                ),
+            ],
+            0,
+        );
+        let mut retrained_empty = base();
+        retrained_empty.train(&[]);
+        let loaded = crate::snapshot::from_bytes(&crate::snapshot::to_bytes(&with_lm)).unwrap();
+
+        // Words the arena first sees after every parser above was trained.
+        let fresh: Vec<TokenStream> = [
+            "tweet quokka marmalade zeppelin",
+            "show me my zeppelin quokka stuff",
+            "notify me when my marmalade stuff changes quokka quokka",
+        ]
+        .into_iter()
+        .map(stream)
+        .collect();
+
+        let tail = |count: usize| &sentences[sentences.len() - count..];
+        for (name, parser, sentences) in [
+            ("with_lm", &with_lm, tail(sentences.len())),
+            ("short", &short, tail(40)),
+            ("untrained", &untrained, tail(10)),
+            ("fine_tune(.., 0)", &absorbed, tail(40)),
+            ("train(&[])", &retrained_empty, tail(40)),
+            ("save → load", &loaded, tail(40)),
+            ("fresh words", &with_lm, &fresh[..]),
         ] {
-            for sentence in &sentences[sentences.len() - count..] {
+            for sentence in sentences {
                 for k in [1, 3, 8] {
                     let expected = reference_topk(parser, sentence, k);
                     assert_eq!(
@@ -1775,6 +2012,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One candidate memo reused across decodes stays exact and bounded:
+    /// after it grew on long sentences, a sentence of words interned later
+    /// decodes bit-identically to the reference, and its key capacity never
+    /// exceeds the vocabulary plus the longest sentence's distinct words.
+    #[test]
+    fn a_reused_candidate_memo_stays_exact_and_bounded() {
+        let mut parser = LuinetParser::new(ModelConfig {
+            epochs: 3,
+            seed: 8,
+            threads: 1,
+            ..ModelConfig::default()
+        });
+        parser.train(&training_set());
+        let mut candidates = CandidateMemo::default();
+        let mut longest = 0;
+        let mut decode = |candidates: CandidateMemo<f64>, sentence: &TokenStream| {
+            let index = SentenceIndex::build(sentence);
+            let mut memo = parser.decode_memo(&index, candidates);
+            let got = bits(parser.decode_topk(&mut memo, 3));
+            assert_eq!(got, reference_topk(&parser, sentence, 3));
+            longest = longest.max(index.distinct_words().len());
+            let bound = parser.vocab().len() + longest;
+            assert!(
+                memo.candidates.offsets.capacity() <= bound,
+                "memo capacity {} above {bound}",
+                memo.candidates.offsets.capacity()
+            );
+            memo.candidates
+        };
+        for text in [
+            "show me my gmail stuff and my dropbox stuff and my calendar stuff please now",
+            "tweet rust is great",
+            "notify me when my twitter stuff changes",
+        ] {
+            candidates = decode(candidates, &stream(text));
+        }
+        let grown = candidates.offsets.capacity();
+        let fresh = stream("tweet wombat lantern wombat ocelot");
+        candidates = decode(candidates, &fresh);
+        assert_eq!(
+            candidates.offsets.capacity(),
+            grown,
+            "a shorter sentence grew the memo"
+        );
     }
 
     /// The memoized training scorer (per-example candidate memo over a
@@ -1846,28 +2129,23 @@ mod tests {
             let example = &prepared[index as usize];
             let mut memo = CandidateMemo::default();
             let (mut prev1, mut prev2) = (parser.bos, parser.bos);
-            for (position, &(gold, gold_hash)) in example.gold.iter().enumerate() {
+            for (position, &gold) in example.gold.iter().enumerate() {
                 let step = StepContext::new(&example.index, prev1, prev2, position);
-                parser.for_each_candidate(
-                    &example.index,
-                    prev1,
-                    Some((gold, gold_hash)),
-                    |candidate, hash| {
-                        if !rng.gen_bool(0.6) {
-                            return;
-                        }
-                        let memoized =
-                            parser.score_train(&params, &mut memo, &step, candidate, hash, &delta);
-                        assert_eq!(
-                            memoized.to_bits(),
-                            plain(&step, candidate, hash).to_bits(),
-                            "example {index}, position {position}"
-                        );
-                        scored += 1;
-                    },
-                );
+                parser.for_each_candidate(&example.index, prev1, Some(gold), |candidate| {
+                    if !rng.gen_bool(0.6) {
+                        return;
+                    }
+                    let memoized =
+                        parser.score_train(&params, &mut memo, &step, &candidate, &delta);
+                    assert_eq!(
+                        memoized.to_bits(),
+                        plain(&step, candidate.token, candidate.hash).to_bits(),
+                        "example {index}, position {position}"
+                    );
+                    scored += 1;
+                });
                 prev2 = prev1;
-                prev1 = gold;
+                prev1 = gold.token;
             }
         }
         assert!(scored > 5_000, "only {scored} scores compared");

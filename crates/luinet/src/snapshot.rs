@@ -24,7 +24,9 @@
 //! parsing. The id-sorted membership index of each candidate table is the
 //! one structure that genuinely depends on live arena ids; it is re-sorted
 //! at load (`O(n log n)` over compiled successors, the same work the
-//! crate-private `CompiledTransitions` does on a fresh compile).
+//! crate-private `CompiledTransitions` does on a fresh compile). Each
+//! successor's memo key and served `prev1` weight are derived state too:
+//! the load's `install` binds them, so the format stores neither.
 //!
 //! # Guarantees
 //!
@@ -46,7 +48,7 @@ use genie_nlp::intern::{FnvState, Symbol};
 
 use crate::features::{cand_hash, FEATURE_BUCKETS};
 use crate::lm::ProgramLm;
-use crate::model::{CompiledTransitions, LuinetParser, ModelConfig, SuccessorEntry};
+use crate::model::{CompiledTransitions, LuinetParser, ModelConfig, Successor, SuccessorEntry};
 use crate::vocab::{bos_symbol, eos_symbol, Vocab};
 
 /// Magic bytes opening a model snapshot file.
@@ -140,10 +142,10 @@ pub fn to_bytes(parser: &LuinetParser) -> Vec<u8> {
         let prev_id = syms.id_of(prev);
         put_u32(&mut body, prev_id);
         put_u32(&mut body, entry.candidates.len() as u32);
-        for &(token, hash) in entry.candidates.iter() {
-            let token_id = syms.id_of(token);
+        for successor in entry.candidates.iter() {
+            let token_id = syms.id_of(successor.token);
             put_u32(&mut body, token_id);
-            put_u64(&mut body, hash);
+            put_u64(&mut body, successor.hash);
         }
     }
 
@@ -256,9 +258,9 @@ pub fn from_bytes(buf: &[u8]) -> ColfmtResult<LuinetParser> {
         for _ in 0..candidate_count {
             let token = symbol_of(&symbols, reader.u32()?)?;
             let hash = reader.u64()?;
-            candidates.push((token, hash));
+            candidates.push(Successor::unbound(token, hash));
         }
-        let mut members: Vec<Symbol> = candidates.iter().map(|&(token, _)| token).collect();
+        let mut members: Vec<Symbol> = candidates.iter().map(|successor| successor.token).collect();
         members.sort_unstable();
         map.insert(
             prev,
@@ -282,7 +284,7 @@ pub fn from_bytes(buf: &[u8]) -> ColfmtResult<LuinetParser> {
         averaged: Default::default(),
         updates,
         transitions,
-        compiled: CompiledTransitions { map },
+        compiled: CompiledTransitions::from_map(map),
         pretrained_lm,
         trained_examples,
         bos: bos_symbol(),
