@@ -39,7 +39,7 @@ fn bench_parameter_expansion(c: &mut Criterion) {
     c.bench_function("parameter_expansion_10x", |b| {
         b.iter(|| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-            black_box(expand_parameters(&example, &datasets, 10, &mut rng))
+            black_box(expand_parameters(&example, datasets, 10, &mut rng))
         })
     });
 }

@@ -165,7 +165,7 @@ pub type BatchObserver<'f> = &'f mut dyn FnMut(BatchRecord);
 /// The sampled sentence generator.
 pub struct SentenceGenerator<'a> {
     library: &'a Thingpedia,
-    datasets: ParamDatasets,
+    datasets: &'static ParamDatasets,
     config: GeneratorConfig,
     vocab: SynthVocab,
     /// The phrase pools, built once per generator: they are a pure function
@@ -183,15 +183,24 @@ impl<'a> SentenceGenerator<'a> {
         Self::assemble(library, crate::intern::shared().clone(), config)
     }
 
-    /// Create a generator interning into a caller-owned arena (pre-seeded
-    /// here, so a fresh arena assigns ids deterministically for any worker
-    /// count — what the interner-determinism tests rely on).
+    /// Create a generator interning into a caller-owned arena.
+    ///
+    /// The arena must already be pre-seeded for `library`: pass one made by
+    /// [`crate::intern::fresh`] (or seeded with [`crate::intern::preseed`]).
+    /// A pre-seeded arena assigns ids deterministically for any worker
+    /// count, which is what the interner-determinism tests and the live
+    /// subsystem's snapshot arenas rely on. The generator does not seed it
+    /// again; a bare `Interner::new()` holds no words and trips a debug
+    /// assertion.
     pub fn with_interner(
         library: &'a Thingpedia,
         config: GeneratorConfig,
         interner: Arc<Interner>,
     ) -> Self {
-        crate::intern::preseed(&interner, library, &ParamDatasets::builtin());
+        debug_assert!(
+            !interner.is_empty(),
+            "SentenceGenerator::with_interner needs a pre-seeded arena (intern::fresh)"
+        );
         Self::assemble(library, interner, config)
     }
 
@@ -218,7 +227,7 @@ impl<'a> SentenceGenerator<'a> {
             PhrasePools::build(
                 &self.vocab,
                 self.library,
-                &self.datasets,
+                self.datasets,
                 &self.config,
                 &mut rng,
             )
@@ -297,7 +306,7 @@ impl<'a> SentenceGenerator<'a> {
         let pools = self.pools();
         let ctx = RuleCtx {
             library: self.library,
-            datasets: &self.datasets,
+            datasets: self.datasets,
             config: &self.config,
             vocab: &self.vocab,
         };
@@ -435,7 +444,7 @@ impl<'a> SentenceGenerator<'a> {
         let pools = PhrasePools::build(
             &self.vocab,
             self.library,
-            &self.datasets,
+            self.datasets,
             &self.config,
             &mut rng,
         );

@@ -50,7 +50,7 @@ pub fn shared() -> &'static Arc<Interner> {
     static SEEDED: OnceLock<()> = OnceLock::new();
     let interner = genie_nlp::intern::shared();
     SEEDED.get_or_init(|| {
-        preseed(interner, &Thingpedia::builtin(), &ParamDatasets::builtin());
+        preseed(interner, &Thingpedia::builtin(), ParamDatasets::builtin());
     });
     interner
 }
@@ -262,7 +262,9 @@ fn seed_connective_words(interner: &Interner, _: &Thingpedia, _: &ParamDatasets)
 }
 
 /// A pre-seeded fresh arena for one library — what the determinism tests
-/// construct per run to compare id assignment across worker counts.
+/// construct per run to compare id assignment across worker counts, and
+/// what [`crate::SentenceGenerator::with_interner`] expects: the generator
+/// does not seed the arena again.
 pub fn fresh(library: &Thingpedia, datasets: &ParamDatasets) -> Arc<Interner> {
     let interner = Arc::new(Interner::new());
     preseed(&interner, library, datasets);
@@ -455,8 +457,8 @@ mod tests {
     fn preseed_is_deterministic_and_idempotent() {
         let library = Thingpedia::builtin();
         let datasets = ParamDatasets::builtin();
-        let a = fresh(&library, &datasets);
-        let b = fresh(&library, &datasets);
+        let a = fresh(&library, datasets);
+        let b = fresh(&library, datasets);
         assert_eq!(a.len(), b.len());
         assert!(a.len() > 2000, "vocabulary too small: {}", a.len());
         for id in 0..a.len() as u32 {
@@ -466,10 +468,10 @@ mod tests {
         // Idempotent: seeding again adds nothing — neither the whole
         // pipeline nor any individual named step.
         let before = a.len();
-        preseed(&a, &library, &datasets);
+        preseed(&a, &library, datasets);
         assert_eq!(a.len(), before);
         for (name, step) in PRESEED_STEPS {
-            step(&a, &library, &datasets);
+            step(&a, &library, datasets);
             assert_eq!(a.len(), before, "step `{name}` is not idempotent");
         }
     }
@@ -487,7 +489,7 @@ mod tests {
         // Burn a few arenas first: snapshot-count-invariance means earlier
         // snapshots must not perturb later ones.
         for _ in 0..3 {
-            let _ = fresh(&library, &datasets);
+            let _ = fresh(&library, datasets);
         }
         let run = |threads: usize| {
             let config = GeneratorConfig {
@@ -499,7 +501,7 @@ mod tests {
                 quiet: true,
                 ..GeneratorConfig::default()
             };
-            let arena = fresh(&library, &datasets);
+            let arena = fresh(&library, datasets);
             let generator = SentenceGenerator::with_interner(&library, config, arena.clone());
             let examples = generator.synthesize();
             (arena, examples)

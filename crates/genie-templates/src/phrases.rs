@@ -371,7 +371,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn setup() -> (SynthVocab, Thingpedia, ParamDatasets, StdRng) {
+    fn setup() -> (SynthVocab, Thingpedia, &'static ParamDatasets, StdRng) {
         (
             SynthVocab::new(crate::intern::shared().clone()),
             Thingpedia::builtin(),
@@ -385,7 +385,7 @@ mod tests {
         let (vocab, library, datasets, mut rng) = setup();
         let mut count = 0;
         for template in library.templates() {
-            let derivation = instantiate(&vocab, &library, &datasets, template, &mut rng)
+            let derivation = instantiate(&vocab, &library, datasets, template, &mut rng)
                 .unwrap_or_else(|| panic!("failed to instantiate `{}`", template.utterance));
             let text = vocab.interner().render(&derivation.utterance);
             assert!(!text.contains('$'), "placeholder left in `{text}`");
@@ -403,7 +403,7 @@ mod tests {
         for (i, template) in library.templates().iter().enumerate() {
             let mut rng_a = StdRng::seed_from_u64(1000 + i as u64);
             let mut rng_b = StdRng::seed_from_u64(1000 + i as u64);
-            let Some(derivation) = instantiate(&vocab, &library, &datasets, template, &mut rng_a)
+            let Some(derivation) = instantiate(&vocab, &library, datasets, template, &mut rng_a)
             else {
                 continue;
             };
@@ -414,7 +414,7 @@ mod tests {
             let mut substitutions: Vec<(String, String)> = Vec::new();
             for placeholder in template.placeholders() {
                 let param = function.param(&placeholder).unwrap();
-                let value = sample_value(&datasets, param, &mut rng_b);
+                let value = sample_value(datasets, param, &mut rng_b);
                 substitutions.push((placeholder.clone(), render_value(&value)));
             }
             let expected = template.instantiate(&substitutions);
@@ -431,7 +431,7 @@ mod tests {
     fn query_phrases_carry_queries_and_actions_carry_invocations() {
         let (vocab, library, datasets, mut rng) = setup();
         for template in library.templates() {
-            let derivation = instantiate(&vocab, &library, &datasets, template, &mut rng).unwrap();
+            let derivation = instantiate(&vocab, &library, datasets, template, &mut rng).unwrap();
             match derivation.kind {
                 PhraseKind::ActionVerb => {
                     assert!(derivation.action.is_some());
@@ -449,7 +449,7 @@ mod tests {
     fn sampled_values_typecheck() {
         let (vocab, library, datasets, mut rng) = setup();
         for template in library.templates().iter().take(100) {
-            let derivation = instantiate(&vocab, &library, &datasets, template, &mut rng).unwrap();
+            let derivation = instantiate(&vocab, &library, datasets, template, &mut rng).unwrap();
             let program = match (&derivation.query, &derivation.action) {
                 (Some(query), _) => thingtalk::Program::get_query(query.clone()),
                 (_, Some(action)) => thingtalk::Program::do_action(action.clone()),
@@ -468,8 +468,8 @@ mod tests {
     fn filtered_phrases_add_one_predicate() {
         let (vocab, library, datasets, mut rng) = setup();
         let template = library.templates_for("com.dropbox", "list_folder")[0].clone();
-        let base = instantiate(&vocab, &library, &datasets, &template, &mut rng).unwrap();
-        let filtered = add_filter(&vocab, &library, &datasets, &base, &mut rng).unwrap();
+        let base = instantiate(&vocab, &library, datasets, &template, &mut rng).unwrap();
+        let filtered = add_filter(&vocab, &library, datasets, &base, &mut rng).unwrap();
         assert_eq!(filtered.depth, base.depth + 1);
         assert!(filtered.utterance.len() > base.utterance.len());
         let query = filtered.query.unwrap();
@@ -480,7 +480,7 @@ mod tests {
     fn action_phrases_cannot_be_filtered() {
         let (vocab, library, datasets, mut rng) = setup();
         let template = library.templates_for("com.twitter", "post")[0].clone();
-        let base = instantiate(&vocab, &library, &datasets, &template, &mut rng).unwrap();
-        assert!(add_filter(&vocab, &library, &datasets, &base, &mut rng).is_none());
+        let base = instantiate(&vocab, &library, datasets, &template, &mut rng).unwrap();
+        assert!(add_filter(&vocab, &library, datasets, &base, &mut rng).is_none());
     }
 }

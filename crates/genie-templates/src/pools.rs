@@ -489,7 +489,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(11);
         let vocab = SynthVocab::new(crate::intern::shared().clone());
-        let pools = PhrasePools::build(&vocab, &library, &datasets, &config, &mut rng);
+        let pools = PhrasePools::build(&vocab, &library, datasets, &config, &mut rng);
         // add_filter only rejects functions without output parameters; with
         // retries the pools must reach the sampling target.
         assert_eq!(pools.filtered_nouns.len(), 50);
@@ -507,7 +507,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(12);
         let vocab = SynthVocab::new(crate::intern::shared().clone());
-        let pools = PhrasePools::build(&vocab, &library, &datasets, &config, &mut rng);
+        let pools = PhrasePools::build(&vocab, &library, datasets, &config, &mut rng);
         assert!(pools.filtered_nouns.is_empty());
         assert!(pools.filtered_whens.is_empty());
         assert!(!pools.nouns.is_empty());

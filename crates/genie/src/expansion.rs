@@ -267,7 +267,7 @@ mod tests {
     fn expansion_replaces_utterance_and_program_consistently() {
         let datasets = ParamDatasets::builtin();
         let mut rng = StdRng::seed_from_u64(3);
-        let expanded = expand_parameters(&example(), &datasets, 5, &mut rng).unwrap();
+        let expanded = expand_parameters(&example(), datasets, 5, &mut rng).unwrap();
         assert!(!expanded.is_empty());
         for variant in &expanded {
             assert_ne!(variant.utterance, example().utterance);
@@ -292,7 +292,7 @@ mod tests {
             parse_program("now => @com.gmail.inbox() => notify").unwrap(),
             ExampleSource::Synthesized,
         );
-        assert!(expand_parameters(&plain, &datasets, 5, &mut rng)
+        assert!(expand_parameters(&plain, datasets, 5, &mut rng)
             .unwrap()
             .is_empty());
     }
@@ -313,10 +313,10 @@ mod tests {
     fn expand_dataset_respects_the_factor() {
         let datasets = ParamDatasets::builtin();
         let examples = vec![example()];
-        let large = expand_dataset(&examples, &datasets, |_| 10, 5, 0).unwrap();
-        let small = expand_dataset(&examples, &datasets, |_| 1, 5, 0).unwrap();
+        let large = expand_dataset(&examples, datasets, |_| 10, 5, 0).unwrap();
+        let small = expand_dataset(&examples, datasets, |_| 1, 5, 0).unwrap();
         assert!(large.len() > small.len());
-        let none = expand_dataset(&examples, &datasets, |_| 0, 5, 0).unwrap();
+        let none = expand_dataset(&examples, datasets, |_| 0, 5, 0).unwrap();
         assert!(none.len() <= 1);
     }
 }

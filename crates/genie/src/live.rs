@@ -729,8 +729,7 @@ fn build_world(
     previous: Option<&SynthesisMemo>,
     plan: TrainPlan,
 ) -> GenieResult<BuildOutcome> {
-    let datasets = ParamDatasets::builtin();
-    let arena = genie_templates::intern::fresh(library, &datasets);
+    let arena = genie_templates::intern::fresh(library, ParamDatasets::builtin());
     // The digest pass builds the new pools once up front (a pure function
     // of `(library, seed)`); the pipeline's own generator rebuilds them
     // identically, so the diff below describes exactly the pools the run

@@ -181,7 +181,7 @@ fn decode_inner(payload: &[u8]) -> ColfmtResult<WorldBundle> {
     // A fresh arena pre-seeded for the decoded library: candidates
     // re-intern below, and future deltas diff against it exactly as they
     // would against the bootstrap arena.
-    let arena = genie_templates::intern::fresh(&library, &ParamDatasets::builtin());
+    let arena = genie_templates::intern::fresh(&library, ParamDatasets::builtin());
     let constructs = construct_labels();
     let batch_count = reader.u32()? as usize;
     let mut batches = HashMap::with_capacity(reader.capacity_hint(batch_count, 16));

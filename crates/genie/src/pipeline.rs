@@ -237,7 +237,7 @@ impl TrainingData {
 /// The end-to-end training-set builder.
 pub struct DataPipeline<'a> {
     library: &'a Thingpedia,
-    datasets: ParamDatasets,
+    datasets: &'static ParamDatasets,
     config: PipelineConfig,
     /// Snapshot-scoped synthesis arena (live worlds). `None` — the default —
     /// synthesizes straight into the process-shared arena, exactly as
@@ -258,9 +258,11 @@ impl<'a> DataPipeline<'a> {
 
     /// Create a pipeline whose *synthesis half* (phrase pools, construct
     /// vocabulary, dedup keys) interns into a caller-owned snapshot arena
-    /// instead of the process-shared one. The arena is pre-seeded for the
-    /// library, so symbol assignment inside the snapshot is worker-count-
-    /// and snapshot-count-invariant. Downstream fused stages (paraphrase,
+    /// instead of the process-shared one. The arena must already be
+    /// pre-seeded for the library ([`genie_templates::intern::fresh`]); the
+    /// pipeline does not seed it again. That is what makes symbol
+    /// assignment inside the snapshot worker-count- and
+    /// snapshot-count-invariant. Downstream fused stages (paraphrase,
     /// expansion, parser-example conversion) still speak the shared arena:
     /// each synthesized utterance is re-interned at the sequential fuse
     /// boundary, which keeps the model layer's `&'static str` vocabulary
@@ -361,14 +363,14 @@ impl<'a> DataPipeline<'a> {
         let augmented = if self.config.parameter_expansion {
             let mut expanded = expand_dataset(
                 &paraphrases.examples,
-                &self.datasets,
+                self.datasets,
                 |_| self.config.expansion_paraphrase,
                 self.config.seed.wrapping_add(1),
                 self.config.synthesis.threads,
             )?;
             expanded.extend(expand_dataset(
                 &synthesized.examples,
-                &self.datasets,
+                self.datasets,
                 |e| {
                     if e.flags.primitive {
                         self.config.expansion_synthesized
@@ -585,7 +587,7 @@ impl<'a> DataPipeline<'a> {
                     for rewrite in &derived {
                         expanded.extend(expand_parameters(
                             rewrite,
-                            &self.datasets,
+                            self.datasets,
                             config.expansion_paraphrase,
                             &mut rng,
                         )?);
@@ -597,7 +599,7 @@ impl<'a> DataPipeline<'a> {
                     };
                     expanded.extend(expand_parameters(
                         &example,
-                        &self.datasets,
+                        self.datasets,
                         synthesized_factor,
                         &mut rng,
                     )?);

@@ -292,28 +292,76 @@ impl SentenceIndex {
     }
 }
 
+/// A presence filter over weight buckets: one bit per low-bit pattern of a
+/// bucket, set by [`BucketFilter::insert`]. A clear bit proves that no
+/// inserted bucket has those low bits, so a table behind the filter answers
+/// "absent" with one bit test. Buckets are already the low bits of a mixed
+/// hash ([`mix_bucket`]), so the low bits spread evenly. With
+/// [`FEATURE_BUCKETS`] bits (512 KB) every bucket has its own bit and the
+/// filter is exact.
+///
+/// The served table ([`AveragedWeights`]), the training table and each
+/// training shard's delta all read through one.
+pub(crate) struct BucketFilter {
+    words: Box<[u64]>,
+    mask: usize,
+}
+
+impl BucketFilter {
+    /// An empty filter of `bits` bits, a power of two of at least 64.
+    pub(crate) fn new(bits: usize) -> Self {
+        assert!(
+            bits.is_power_of_two() && bits >= 64,
+            "filter size {bits} is not a power of two ≥ 64"
+        );
+        BucketFilter {
+            words: vec![0; bits / 64].into_boxed_slice(),
+            mask: bits - 1,
+        }
+    }
+
+    /// The word and bit of a bucket.
+    #[inline]
+    fn bit(&self, bucket: usize) -> (usize, u64) {
+        let bit = bucket & self.mask;
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// Record `bucket` as present.
+    #[inline]
+    pub(crate) fn insert(&mut self, bucket: usize) {
+        let (word, bit) = self.bit(bucket);
+        self.words[word] |= bit;
+    }
+
+    /// Whether some inserted bucket shares `bucket`'s bit. `false` is
+    /// certain; `true` is certain only for an exact filter.
+    #[inline]
+    pub(crate) fn may_contain(&self, bucket: usize) -> bool {
+        let (word, bit) = self.bit(bucket);
+        self.words[word] & bit != 0
+    }
+}
+
 /// The served perceptron parameters: the averaged weight of every bucket
 /// training touched, in a read-only open-addressed table (linear probing,
-/// load factor at most 1/4) behind a presence filter. A bucket missing from
-/// the table reads as `+0.0`, the averaged weight of a bucket training
+/// load factor at most 1/4) behind a `BucketFilter`. A bucket missing
+/// from the table reads as `+0.0`, the averaged weight of a bucket training
 /// never touched.
 ///
-/// Buckets are already the low bits of a mixed hash ([`mix_bucket`]), so
-/// both structures index by the bucket's own low bits. Most lookups are for
-/// buckets the table lacks. The filter, one bit per
-/// `next_power_of_two(8 × entries)` low-bit pattern (capped at
-/// [`FEATURE_BUCKETS`] bits; 32 KB for the benchmark world's ~25k entries),
-/// is set for every stored bucket, so a clear bit answers `+0.0` from a
-/// structure that stays in L1 cache, and only about one absent bucket in
-/// eight reaches the 2 MB table. The table's 1/4 load factor keeps the
-/// probes that do reach it, mostly hits, at their first slot. A slot is 16
-/// bytes and there are four to eight slots per nonzero bucket, against 12
-/// bytes for *every* bucket (48 MB) in a dense per-bucket layout.
+/// Both structures index by the bucket's own low bits. Most lookups are for
+/// buckets the table lacks. The filter, `next_power_of_two(8 × entries)`
+/// bits (capped at [`FEATURE_BUCKETS`] bits; 32 KB for the benchmark
+/// world's ~25k entries), is set for every stored bucket, so a clear bit
+/// answers `+0.0` from a structure that stays in L1 cache, and only about
+/// one absent bucket in eight reaches the 2 MB table. The table's 1/4 load
+/// factor keeps the probes that do reach it, mostly hits, at their first
+/// slot. A slot is 16 bytes and there are four to eight slots per nonzero
+/// bucket, against 12 bytes for *every* bucket (48 MB) in a dense
+/// per-bucket layout.
 pub struct AveragedWeights {
-    /// Bit `bucket & filter_mask` is set when some stored bucket has those
-    /// low bits.
-    filter: Box<[u64]>,
-    filter_mask: usize,
+    /// Holds every stored bucket.
+    filter: BucketFilter,
     /// `(bucket, averaged weight)`; [`EMPTY_SLOT`] marks a free slot.
     slots: Box<[(u32, f64)]>,
     mask: usize,
@@ -337,15 +385,14 @@ impl AveragedWeights {
         // At least one free slot always remains, so every probe ends.
         let capacity = (4 * entries.len()).next_power_of_two().max(1);
         let mask = capacity - 1;
-        let filter_bits = (8 * entries.len())
-            .next_power_of_two()
-            .clamp(64, FEATURE_BUCKETS);
-        let filter_mask = filter_bits - 1;
-        let mut filter = vec![0u64; filter_bits / 64].into_boxed_slice();
+        let mut filter = BucketFilter::new(
+            (8 * entries.len())
+                .next_power_of_two()
+                .clamp(64, FEATURE_BUCKETS),
+        );
         let mut slots = vec![(EMPTY_SLOT, 0.0); capacity].into_boxed_slice();
         for (bucket, value) in entries {
-            let bit = bucket as usize & filter_mask;
-            filter[bit / 64] |= 1 << (bit % 64);
+            filter.insert(bucket as usize);
             let mut slot = bucket as usize & mask;
             while slots[slot].0 != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
@@ -354,7 +401,6 @@ impl AveragedWeights {
         }
         AveragedWeights {
             filter,
-            filter_mask,
             slots,
             mask,
         }
@@ -364,8 +410,7 @@ impl AveragedWeights {
     /// it).
     #[inline]
     pub fn get(&self, bucket: usize) -> f64 {
-        let bit = bucket & self.filter_mask;
-        if self.filter[bit / 64] & (1 << (bit % 64)) == 0 {
+        if !self.filter.may_contain(bucket) {
             return 0.0;
         }
         let mut slot = bucket & self.mask;
@@ -703,7 +748,7 @@ mod tests {
                     "set {set_number}"
                 );
             }
-            let filter_bits = table.filter_mask + 1;
+            let filter_bits = table.filter.mask + 1;
             let mut absent: Vec<usize> = (0..2000)
                 .map(|_| rng.gen_range(0..FEATURE_BUCKETS))
                 .collect();
@@ -728,14 +773,17 @@ mod tests {
     fn presence_filter_is_sized_from_the_entry_count() {
         let bits = |entries: usize| {
             let table = AveragedWeights::build((0..entries as u32).map(|b| (b * 7, 1.0)));
-            (table.filter_mask + 1, table.filter.len() * 64)
+            (table.filter.mask + 1, table.filter.words.len() * 64)
         };
         assert_eq!(bits(0), (64, 64));
         assert_eq!(bits(1), (64, 64));
         assert_eq!(bits(24_637), (1 << 18, 1 << 18));
         // Capped at one bit per bucket.
         assert_eq!(
-            AveragedWeights::build((0..530_000u32).map(|b| (b * 7, 1.0))).filter_mask + 1,
+            AveragedWeights::build((0..530_000u32).map(|b| (b * 7, 1.0)))
+                .filter
+                .mask
+                + 1,
             FEATURE_BUCKETS
         );
     }

@@ -76,7 +76,8 @@ use rand::SeedableRng;
 
 use crate::data::ParserExample;
 use crate::features::{
-    cand_hash, prev1_bucket, AveragedWeights, SentenceIndex, StepContext, POSITION_CAP,
+    cand_hash, prev1_bucket, AveragedWeights, BucketFilter, SentenceIndex, StepContext,
+    FEATURE_BUCKETS, POSITION_CAP,
 };
 use crate::lm::ProgramLm;
 use crate::vocab::{bos_symbol, eos_symbol, Vocab};
@@ -317,14 +318,25 @@ pub(crate) type WeightEntry = (u32, f32, f64);
 /// training pass has written, rebuilt from the sparse entries when the pass
 /// starts and folded back into them when it ends. A bucket missing from the
 /// table reads as zero, exactly like a bucket training never touched.
+///
+/// Most reads are of buckets the table lacks, so an exact [`BucketFilter`]
+/// (one bit per bucket, 512 KB) holds every key of the table and answers
+/// those reads without a map probe.
 struct TrainParams {
+    /// Exact: bit `bucket` is set iff `params` has the key `bucket`.
+    present: BucketFilter,
     /// bucket → (raw weight, running total).
     params: HashMap<u32, (f32, f64), FnvState>,
 }
 
 impl TrainParams {
     fn from_entries(entries: &[WeightEntry]) -> Self {
+        let mut present = BucketFilter::new(FEATURE_BUCKETS);
+        for &(bucket, _, _) in entries {
+            present.insert(bucket as usize);
+        }
         TrainParams {
+            present,
             params: entries
                 .iter()
                 .map(|&(bucket, weight, total)| (bucket, (weight, total)))
@@ -335,6 +347,9 @@ impl TrainParams {
     /// The raw weight of a bucket.
     #[inline]
     fn weight(&self, bucket: usize) -> f32 {
+        if !self.present.may_contain(bucket) {
+            return 0.0;
+        }
         self.params
             .get(&(bucket as u32))
             .map_or(0.0, |&(weight, _)| weight)
@@ -343,6 +358,7 @@ impl TrainParams {
     /// Merge one shard delta into a bucket.
     #[inline]
     fn add(&mut self, bucket: u32, weight_delta: f64, total_delta: f64) {
+        self.present.insert(bucket as usize);
         let (weight, total) = self.params.entry(bucket).or_default();
         *weight = (*weight as f64 + weight_delta) as f32;
         *total += total_delta;
@@ -376,14 +392,13 @@ const DELTA_FILTER_BITS: usize = 1 << 16;
 /// round-start snapshot, plus the number of decode steps taken.
 ///
 /// A shard writes a few hundred buckets per round but reads millions, so a
-/// bitmap over the buckets' low bits records which ones may have been
-/// written: a read whose bit is clear is `0.0` without a map probe.
+/// small [`BucketFilter`] records which ones may have been written: a read
+/// whose bit is clear is `0.0` without a map probe.
 struct ShardDelta {
     /// bucket → (weight delta, averaged-total delta).
     deltas: HashMap<u32, (f64, f64), FnvState>,
-    /// Bit `bucket % DELTA_FILTER_BITS` is set once any bucket with those
-    /// low bits is written.
-    written: Box<[u64]>,
+    /// Holds every written bucket.
+    written: BucketFilter,
     steps: u64,
 }
 
@@ -391,23 +406,15 @@ impl ShardDelta {
     fn new() -> Self {
         ShardDelta {
             deltas: HashMap::default(),
-            written: vec![0; DELTA_FILTER_BITS / 64].into_boxed_slice(),
+            written: BucketFilter::new(DELTA_FILTER_BITS),
             steps: 0,
         }
-    }
-
-    /// The filter word and bit of a bucket.
-    #[inline]
-    fn filter_bit(bucket: usize) -> (usize, u64) {
-        let bit = bucket & (DELTA_FILTER_BITS - 1);
-        (bit / 64, 1 << (bit % 64))
     }
 
     /// The weight delta of a bucket (`0.0` when the shard never wrote it).
     #[inline]
     fn weight(&self, bucket: usize) -> f64 {
-        let (word, mask) = Self::filter_bit(bucket);
-        if self.written[word] & mask == 0 {
+        if !self.written.may_contain(bucket) {
             return 0.0;
         }
         self.deltas
@@ -418,8 +425,7 @@ impl ShardDelta {
     /// Add to a bucket's weight and averaged-total deltas.
     #[inline]
     fn add(&mut self, bucket: usize, weight: f64, total: f64) {
-        let (word, mask) = Self::filter_bit(bucket);
-        self.written[word] |= mask;
+        self.written.insert(bucket);
         let slot = self.deltas.entry(bucket as u32).or_default();
         slot.0 += weight;
         slot.1 += total;
@@ -2243,5 +2249,80 @@ mod tests {
             params.into_entries(),
             vec![(2, 1.0, 1.0), (7, 0.0, 2.0), (3_000_000, 1.0, 5.0)]
         );
+    }
+
+    /// The training table's presence bitmap never hides a bucket: over
+    /// seeded entry sets and merge sequences (the first and last bucket,
+    /// buckets whose adds cancel to zero, fresh and re-written buckets),
+    /// `weight` equals a plain map read bit for bit on every bucket ever
+    /// written and on a seeded sample of absent ones, their neighbours
+    /// included.
+    #[test]
+    fn train_params_filter_matches_a_plain_map() {
+        use rand::Rng;
+        let last = (FEATURE_BUCKETS - 1) as u32;
+        let mut rng = StdRng::seed_from_u64(0xb17_4a9);
+        for case in 0..12 {
+            let mut entries: Vec<WeightEntry> = (0..[0, 1, 3, 60, 2500, 20_000][case % 6])
+                .map(|_| {
+                    let bucket = rng.gen_range(0..=last);
+                    (
+                        bucket,
+                        rng.gen_range(-6i8..6) as f32 * 0.25,
+                        rng.gen_range(-9.0..9.0),
+                    )
+                })
+                .collect();
+            if case % 2 == 1 {
+                entries.extend([(0, 1.5, 2.0), (last, -0.75, -1.0)]);
+            }
+            entries.sort_unstable_by_key(|&(bucket, _, _)| bucket);
+            entries.dedup_by_key(|&mut (bucket, _, _)| bucket);
+
+            let mut params = TrainParams::from_entries(&entries);
+            let mut plain: HashMap<u32, f32> = entries
+                .iter()
+                .map(|&(bucket, weight, _)| (bucket, weight))
+                .collect();
+            // One merged delta, applied to both tables.
+            let add = |params: &mut TrainParams, plain: &mut HashMap<u32, f32>, bucket, dw| {
+                params.add(bucket, dw, dw * 3.0);
+                let weight = plain.entry(bucket).or_default();
+                *weight = (*weight as f64 + dw) as f32;
+            };
+            for _merge in 0..6 {
+                for _ in 0..rng.gen_range(0..400) {
+                    let bucket = match rng.gen_range(0..5) {
+                        0 => 0,
+                        1 => last,
+                        2 if !entries.is_empty() => entries[rng.gen_range(0..entries.len())].0,
+                        _ => rng.gen_range(0..=last),
+                    };
+                    let dw = f64::from(rng.gen_range(-4i8..4)) * 0.5 + 0.125;
+                    add(&mut params, &mut plain, bucket, dw);
+                    if rng.gen_bool(0.3) {
+                        // A later shard's delta cancels this one.
+                        add(&mut params, &mut plain, bucket, -dw);
+                    }
+                }
+                let read = |bucket: u32| plain.get(&bucket).copied().unwrap_or(0.0).to_bits();
+                let mut probes: Vec<u32> = plain.keys().copied().collect();
+                probes.extend((0..3000).map(|_| rng.gen_range(0..=last)));
+                for bucket in plain.keys().take(1000) {
+                    probes.extend([
+                        bucket ^ 1,
+                        bucket.wrapping_sub(1) & last,
+                        (bucket + 1) & last,
+                    ]);
+                }
+                for bucket in probes {
+                    assert_eq!(
+                        params.weight(bucket as usize).to_bits(),
+                        read(bucket),
+                        "case {case}, bucket {bucket}"
+                    );
+                }
+            }
+        }
     }
 }

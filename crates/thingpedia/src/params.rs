@@ -13,6 +13,7 @@
 //! rationale.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -365,13 +366,18 @@ pub struct ParamDatasets {
 }
 
 impl ParamDatasets {
-    /// Build the builtin registry of 49 datasets.
-    pub fn builtin() -> Self {
-        let mut registry = ParamDatasets::default();
-        for dataset in build_all() {
-            registry.datasets.insert(dataset.name.clone(), dataset);
-        }
-        registry
+    /// The builtin registry of 49 datasets, built once per process. The
+    /// registry has no mutating method, so every generator, pipeline and
+    /// simulator borrows this one copy; callers that need an owned registry
+    /// clone it.
+    pub fn builtin() -> &'static ParamDatasets {
+        static BUILTIN: OnceLock<ParamDatasets> = OnceLock::new();
+        BUILTIN.get_or_init(|| ParamDatasets {
+            datasets: build_all()
+                .into_iter()
+                .map(|dataset| (dataset.name.clone(), dataset))
+                .collect(),
+        })
     }
 
     /// Look up a dataset by exact key.
@@ -951,6 +957,22 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn builtin_is_one_registry_per_process() {
+        assert!(std::ptr::eq(
+            ParamDatasets::builtin(),
+            ParamDatasets::builtin()
+        ));
+    }
+
+    #[test]
+    fn builtin_registry_equals_a_fresh_build() {
+        let mut fresh = build_all();
+        fresh.sort_by(|a, b| a.name.cmp(&b.name));
+        let registry: Vec<ParamDataset> = ParamDatasets::builtin().datasets().cloned().collect();
+        assert_eq!(registry, fresh);
+    }
 
     #[test]
     fn has_49_datasets() {

@@ -39,7 +39,7 @@ const CHANGE_PERIOD: u64 = 3;
 #[derive(Debug, Clone)]
 pub struct SimulatedDevices {
     library: Thingpedia,
-    datasets: ParamDatasets,
+    datasets: &'static ParamDatasets,
     seed: u64,
     performed_actions: Vec<(FunctionRef, ResultRow)>,
 }

@@ -173,7 +173,7 @@ fn interner_assigns_identical_symbols_across_thread_counts() {
     let library = Thingpedia::builtin();
     let datasets = ParamDatasets::builtin();
     let run = |threads: usize| {
-        let interner = fresh(&library, &datasets);
+        let interner = fresh(&library, datasets);
         let generator = SentenceGenerator::with_interner(
             &library,
             GeneratorConfig {
