@@ -21,10 +21,13 @@
 //! filter small enough to stay in L1 cache, so the common lookup of a bucket
 //! training never touched costs one bit test. Decoding and training both
 //! memoize the buckets that depend only on the sentence and the candidate
-//! ([`SentenceIndex::candidate_buckets`]) with their values, and decoding
-//! reads each successor's [`prev1_bucket`] value from the compiled
-//! candidate tables, so a step mixes and looks up only the buckets that
-//! depend on the step itself ([`StepContext::score_cached`]).
+//! ([`SentenceIndex::candidate_buckets`]) with their values. Training sums
+//! a candidate with [`StepContext::score_cached`]. Decoding reads the
+//! buckets that depend on no sentence (bias, [`prev1_bucket`], prev2,
+//! position and copy-next) from tables the parser compiles when it binds
+//! its weights, and adds the rest through the two halves `score_cached` is
+//! made of (`StepContext::fixed_terms` and `StepContext::sentence_terms`),
+//! so both paths share one addition order.
 //!
 //! [`candidate_buckets_reference`] is the straightforward monolithic
 //! definition of the same feature scheme (hash everything from scratch for
@@ -100,7 +103,10 @@ const CTX_POS_TAG: u64 = fold_str(FNV_OFFSET, "pos");
 const CTX_COPY_TAG: u64 = fold_str(FNV_OFFSET, "copy");
 const CTX_COPY_WORD: u64 = fold_str(FNV_OFFSET, "copy-word");
 const CTX_PREV_COPIED: u64 = fold_str(FNV_OFFSET, "prev-copied");
-const COPY_NEXT_BUCKET: usize = mix_bucket(fold_str(FNV_OFFSET, "copy-next"), EMPTY_CAND);
+/// The `"copy-next"` bucket: one bucket for every candidate that continues
+/// a copied span, so its value depends on no sentence or candidate.
+pub(crate) const COPY_NEXT_BUCKET: usize =
+    mix_bucket(fold_str(FNV_OFFSET, "copy-next"), EMPTY_CAND);
 const CTX_WORD_TAG: u64 = fold_str(FNV_OFFSET, "word");
 
 #[inline]
@@ -116,13 +122,23 @@ pub fn prev1_bucket(prev1: &str, cand_hash: u64) -> usize {
     mix_bucket(ctx_prev1(prev1), cand_hash)
 }
 
+/// The `("bias") × candidate` bucket, which depends on the candidate alone.
 #[inline]
-fn ctx_prev2(prev2: &str, prev1: &str) -> u64 {
+pub(crate) fn bias_bucket(cand_hash: u64) -> usize {
+    mix_bucket(CTX_BIAS, cand_hash)
+}
+
+/// The context half of the `("prev2", prev2, prev1) × candidate` bucket;
+/// [`mix_bucket`] it with a candidate hash.
+#[inline]
+pub(crate) fn prev2_context(prev2: &str, prev1: &str) -> u64 {
     fold_str(fold_str(CTX_PREV2_TAG, prev2), prev1)
 }
 
+/// The context half of the `("pos", min(position, POSITION_CAP)) ×
+/// candidate` bucket; [`mix_bucket`] it with a candidate hash.
 #[inline]
-fn ctx_pos(position: usize) -> u64 {
+pub(crate) fn position_context(position: usize) -> u64 {
     fold(
         CTX_POS_TAG,
         &(position.min(POSITION_CAP) as u64).to_le_bytes(),
@@ -164,8 +180,8 @@ pub fn candidate_buckets_reference(
     let cand = cand_hash(candidate);
     buckets.push(mix_bucket(CTX_BIAS, cand));
     buckets.push(mix_bucket(ctx_prev1(prev1), cand));
-    buckets.push(mix_bucket(ctx_prev2(prev2, prev1), cand));
-    buckets.push(mix_bucket(ctx_pos(position), cand));
+    buckets.push(mix_bucket(prev2_context(prev2, prev1), cand));
+    buckets.push(mix_bucket(position_context(position), cand));
     if sentence.contains(&candidate) {
         buckets.push(mix_bucket(ctx_copy(prev1), EMPTY_CAND));
         buckets.push(mix_bucket(CTX_COPY_WORD, cand));
@@ -452,8 +468,8 @@ impl<'a> StepContext<'a> {
             ctx_fixed: [
                 CTX_BIAS,
                 ctx_prev1(prev1_text),
-                ctx_prev2(prev2_text, prev1_text),
-                ctx_pos(position),
+                prev2_context(prev2_text, prev1_text),
+                position_context(position),
             ],
             copy_bucket: mix_bucket(ctx_copy(prev1_text), EMPTY_CAND),
             prev_copied: index.contains(prev1),
@@ -505,33 +521,83 @@ impl<'a> StepContext<'a> {
         }
     }
 
+    /// The `("copy", prev1) × ""` bucket, which every candidate of this
+    /// step that occurs in the sentence reads.
+    #[inline]
+    pub(crate) fn copy_bucket(&self) -> usize {
+        self.copy_bucket
+    }
+
+    /// The candidate's `("prev2", prev2, prev1)` bucket.
+    #[inline]
+    pub(crate) fn prev2_bucket(&self, cand_hash: u64) -> usize {
+        mix_bucket(self.ctx_fixed[2], cand_hash)
+    }
+
     /// The sum over this candidate's buckets, in
     /// [`StepContext::for_each_bucket`] order: `cached` holds one slot per
-    /// [`SentenceIndex::candidate_buckets`] bucket, valued by `cached_value`,
-    /// `prev1_value` is the value of the candidate's [`prev1_bucket`] when
-    /// the caller has it compiled (`None` mixes and values it here), and
-    /// the other step-dependent buckets are mixed and valued by `value`.
-    /// With `value(b)`, `prev1_value` and `cached_value` of `b`'s slot equal
-    /// to the value of `b`, the result is bit-identical to summing `value`
-    /// over [`StepContext::for_each_bucket`]: the additions are the same
-    /// and in the same order.
+    /// [`SentenceIndex::candidate_buckets`] bucket, valued by
+    /// `cached_value`, and the step-dependent buckets are mixed and valued
+    /// by `value`. With `value(b)` and `cached_value` of `b`'s slot equal to
+    /// the value of `b`, the result is bit-identical to summing `value` over
+    /// [`StepContext::for_each_bucket`]: the additions are the same and in
+    /// the same order.
     #[inline]
     pub fn score_cached<T>(
         &self,
         candidate: Symbol,
         cand_hash: u64,
-        prev1_value: Option<f64>,
         cached: &[T],
         cached_value: impl Fn(&T) -> f64,
         value: impl Fn(usize) -> f64,
     ) -> f64 {
+        let score = self.fixed_terms(cached_value(&cached[0]), cand_hash, &value);
+        self.sentence_terms(
+            score,
+            self.index.contains(candidate),
+            candidate,
+            cached,
+            cached_value,
+            value,
+        )
+    }
+
+    /// The first four terms of a candidate's sum, from `+0.0`: its bias
+    /// value `bias`, then its prev1, prev2 and position buckets valued by
+    /// `value`.
+    #[inline]
+    pub(crate) fn fixed_terms(
+        &self,
+        bias: f64,
+        cand_hash: u64,
+        value: impl Fn(usize) -> f64,
+    ) -> f64 {
         let mut score = 0.0;
-        score += cached_value(&cached[0]);
-        score += prev1_value.unwrap_or_else(|| value(mix_bucket(self.ctx_fixed[1], cand_hash)));
-        for &ctx in &self.ctx_fixed[2..] {
+        score += bias;
+        for &ctx in &self.ctx_fixed[1..] {
             score += value(mix_bucket(ctx, cand_hash));
         }
-        if self.index.contains(candidate) {
+        score
+    }
+
+    /// Add the terms after the position bucket to `score`, the sum of the
+    /// first four ([`StepContext::fixed_terms`]), in
+    /// [`StepContext::for_each_bucket`] order. `in_sentence` says whether
+    /// the candidate occurs in the sentence, and `cached` is as in
+    /// [`StepContext::score_cached`]. The only buckets `value` is asked for
+    /// are [`StepContext::copy_bucket`] and [`COPY_NEXT_BUCKET`], each only
+    /// when the candidate has it.
+    #[inline]
+    pub(crate) fn sentence_terms<T>(
+        &self,
+        mut score: f64,
+        in_sentence: bool,
+        candidate: Symbol,
+        cached: &[T],
+        cached_value: impl Fn(&T) -> f64,
+        value: impl Fn(usize) -> f64,
+    ) -> f64 {
+        if in_sentence {
             score += value(self.copy_bucket);
             score += cached_value(&cached[1]);
         }

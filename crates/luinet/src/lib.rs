@@ -43,7 +43,8 @@
 //! behind a presence filter ([`features::AveragedWeights`]). Training works on a sparse scratch
 //! table of the buckets it writes, which exists only inside
 //! [`model::LuinetParser::train`] and [`model::LuinetParser::fine_tune`].
-//! Each decode call memoizes the
+//! Decoding reads every bucket that depends on no sentence from tables
+//! compiled when the weights are bound. Each decode call memoizes the
 //! bucket values that depend only on the sentence and the candidate, and
 //! every scored step, so the beam reuses what greedy decoding already
 //! scored (see [`model`]).

@@ -30,23 +30,41 @@
 //! sparse `(bucket, weight, total)` entries on entry and folds it back on
 //! exit. A trained parser keeps just those entries (what the weights
 //! digest and snapshots fold) plus an [`AveragedWeights`] table of their
-//! averaged values. The compiled candidate tables carry, per successor,
-//! the averaged weight of its `prev1` bucket (which no sentence changes)
-//! and a dense memo key; every change to the tables or the weights rebinds
-//! both (`LuinetParser::rebind`).
+//! averaged values.
+//!
+//! Every bucket of a decode score but the sentence's content words depends
+//! on no sentence, so binding the served weights to the compiled candidate
+//! tables (`LuinetParser::rebind`, after every change to either) also
+//! compiles those terms:
+//!
+//! * each successor's head, `(0.0 + bias) + prev1`;
+//! * for each `(prev2, prev1)` context of the transition model's trigrams,
+//!   a dense row of `head + prev2` per successor of `prev1`, in candidate
+//!   order (other contexts add a live prev2 lookup to the head);
+//! * the `(min(position, 24), token)` weight of every memo key;
+//! * the copy-next weight.
 //!
 //! One decode call ([`LuinetParser::predict`] or
-//! [`LuinetParser::predict_topk`]) shares a memo: the candidate-only bucket
-//! values of every candidate it scores, addressed by the candidate's dense
-//! key, and every scored step keyed by `(prev2, prev1, capped position)`,
+//! [`LuinetParser::predict_topk`]) runs over its thread's decode scratch,
+//! taken out for the call and put back after it, cleared per call with its
+//! capacity kept. It holds a membership map from memo key to the key's
+//! place among the sentence's distinct words, which replaces the sentence
+//! and copy-list binary searches; the candidate-only bucket values of
+//! every candidate the call scores, addressed by the candidate's dense
+//! key; and every scored step, keyed by `(prev2, prev1, capped position)`,
 //! so the beam reuses the steps greedy decoding already scored. The beam
 //! keeps its survivors by a top-`k` selection that returns exactly what
 //! sort → dedup → truncate returns. Training keeps the same candidate memo
 //! per example, holding the round snapshot's weights, and reads its shard
 //! delta through a write filter that answers most reads of unwritten
-//! buckets without a probe. Scores are added in the same order as the
-//! per-bucket definition, so every token, score bit and weights digest is
-//! unchanged.
+//! buckets without a probe.
+//!
+//! Scores are added in the same order as the per-bucket definition. The
+//! running sum starts at `+0.0`, and under round-to-nearest `x + y` is
+//! `−0.0` only when both are, so the sum is never `−0.0` and adding `±0.0`
+//! is the identity. Each compiled value is the same operations in the same
+//! order, so compiling moves where a value comes from and never reorders an
+//! addition: every token, score bit and weights digest is unchanged.
 //!
 //! # Deterministic parallel training
 //!
@@ -65,7 +83,9 @@
 //! trained weights are a function of (data, config) only — byte-identical
 //! for any worker thread count.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -76,8 +96,9 @@ use rand::SeedableRng;
 
 use crate::data::ParserExample;
 use crate::features::{
-    cand_hash, prev1_bucket, AveragedWeights, BucketFilter, SentenceIndex, StepContext,
-    FEATURE_BUCKETS, POSITION_CAP,
+    bias_bucket, cand_hash, mix_bucket, position_context, prev1_bucket, prev2_context,
+    AveragedWeights, BucketFilter, SentenceIndex, StepContext, COPY_NEXT_BUCKET, FEATURE_BUCKETS,
+    POSITION_CAP,
 };
 use crate::lm::ProgramLm;
 use crate::vocab::{bos_symbol, eos_symbol, Vocab};
@@ -171,7 +192,9 @@ pub struct ScoredPrediction {
 /// plus an id-sorted membership index.
 ///
 /// [`CompiledTransitions::bind`] gives every successor token its
-/// [`CandidateMemo`] key and the served weight of its `prev1` bucket; the
+/// [`CandidateMemo`] key and compiles, from the served weights, the terms of
+/// the decode sum that depend on no sentence: each successor's head, a row
+/// per trigram context, the position table and the copy-next value. The
 /// parser rebinds whenever the tables or the served weights change
 /// ([`LuinetParser::rebind`]).
 #[derive(Default)]
@@ -179,6 +202,18 @@ pub(crate) struct CompiledTransitions {
     pub(crate) map: HashMap<Symbol, SuccessorEntry, FnvState>,
     /// Successor token → memo key (from 1; [`EOS_KEY`] is end-of-sequence).
     keys: HashMap<Symbol, u32, FnvState>,
+    /// Each `(prev2, prev1)` context of the transition model's trigrams
+    /// whose `prev1` has successors → the start of its row in `rows`.
+    contexts: HashMap<(Symbol, Symbol), u32, FnvState>,
+    /// Per context, one value per successor of `prev1`, in candidate order:
+    /// the successor's head plus its `(prev2, prev1)` bucket.
+    rows: Vec<f64>,
+    /// The served `(min(position, POSITION_CAP), token)` weight of every
+    /// memo key, position-major: `POSITION_CAP + 1` runs of
+    /// [`CompiledTransitions::key_count`] values.
+    positions: Box<[f64]>,
+    /// The served weight of [`COPY_NEXT_BUCKET`].
+    copy_next: f64,
 }
 
 #[derive(Default)]
@@ -197,9 +232,11 @@ pub(crate) struct Successor {
     key: u32,
     /// The candidate-half feature hash.
     pub(crate) hash: u64,
-    /// The served weight of the `(prev1, token)` bucket ([`prev1_bucket`]),
-    /// which no sentence changes (set by [`CompiledTransitions::bind`]).
-    prev1_weight: f64,
+    /// `(0.0 + bias) + prev1`: the first two additions of the candidate's
+    /// sum, over the served weights of its bias bucket and of its
+    /// `(prev1, token)` bucket ([`prev1_bucket`]), which no sentence changes
+    /// (set by [`CompiledTransitions::bind`]).
+    head: f64,
 }
 
 impl Successor {
@@ -209,7 +246,7 @@ impl Successor {
             token,
             key: EOS_KEY,
             hash,
-            prev1_weight: 0.0,
+            head: 0.0,
         }
     }
 }
@@ -252,29 +289,70 @@ impl CompiledTransitions {
     pub(crate) fn from_map(map: HashMap<Symbol, SuccessorEntry, FnvState>) -> Self {
         CompiledTransitions {
             map,
-            keys: HashMap::default(),
+            ..CompiledTransitions::default()
         }
     }
 
-    /// Give every successor token its memo key and compile each
-    /// successor's `prev1` weight from `averaged`. Keys only address memo
-    /// slots, so the map order that assigns them never reaches a score.
-    fn bind(&mut self, averaged: &AveragedWeights, eos: Symbol) {
+    /// Give every successor token its memo key and compile the
+    /// sentence-free terms from `averaged`: each successor's head, a row for
+    /// each `(prev2, prev1)` in `contexts` whose `prev1` has successors, the
+    /// position table and the copy-next value. Each compiled value is the
+    /// reference sum's operations in its order, so reading it changes no
+    /// bit. Keys only address memo slots and rows, so the map order that
+    /// assigns them never reaches a score.
+    fn bind(
+        &mut self,
+        averaged: &AveragedWeights,
+        eos: Symbol,
+        eos_hash: u64,
+        contexts: impl Iterator<Item = (Symbol, Symbol)>,
+    ) {
         let interner: &'static genie_nlp::Interner = genie_nlp::intern::shared();
-        let keys = &mut self.keys;
-        keys.clear();
+        // Memo key → candidate hash.
+        let mut hashes = vec![eos_hash];
+        self.keys.clear();
         for (&prev, entry) in &mut self.map {
             let prev_text = interner.resolve(prev);
             for successor in entry.candidates.iter_mut() {
-                let next = keys.len() as u32 + 1;
+                let hash = successor.hash;
                 successor.key = if successor.token == eos {
                     EOS_KEY
                 } else {
-                    *keys.entry(successor.token).or_insert(next)
+                    *self.keys.entry(successor.token).or_insert_with(|| {
+                        hashes.push(hash);
+                        hashes.len() as u32 - 1
+                    })
                 };
-                successor.prev1_weight = averaged.get(prev1_bucket(prev_text, successor.hash));
+                successor.head = (0.0 + averaged.get(bias_bucket(hash)))
+                    + averaged.get(prev1_bucket(prev_text, hash));
             }
         }
+        self.positions = (0..=POSITION_CAP)
+            .flat_map(|position| {
+                let ctx = position_context(position);
+                hashes
+                    .iter()
+                    .map(move |&hash| averaged.get(mix_bucket(ctx, hash)))
+            })
+            .collect();
+        self.contexts.clear();
+        self.rows.clear();
+        for (prev2, prev1) in contexts {
+            let Some(entry) = self.map.get(&prev1) else {
+                continue;
+            };
+            let Entry::Vacant(slot) = self.contexts.entry((prev2, prev1)) else {
+                continue;
+            };
+            slot.insert(self.rows.len() as u32);
+            let ctx = prev2_context(interner.resolve(prev2), interner.resolve(prev1));
+            self.rows.extend(
+                entry.candidates.iter().map(|successor| {
+                    successor.head + averaged.get(mix_bucket(ctx, successor.hash))
+                }),
+            );
+        }
+        self.copy_next = averaged.get(COPY_NEXT_BUCKET);
     }
 
     /// The memo key of a successor token (end-of-sequence always has one).
@@ -296,6 +374,22 @@ impl CompiledTransitions {
     fn get(&self, prev: Symbol) -> Option<&SuccessorEntry> {
         self.map.get(&prev)
     }
+
+    /// The compiled row of the `(prev2, prev1)` context, `successors` long,
+    /// when the transition model saw the context.
+    #[inline]
+    fn context_row(&self, prev2: Symbol, prev1: Symbol, successors: usize) -> Option<&[f64]> {
+        let start = *self.contexts.get(&(prev2, prev1))? as usize;
+        Some(&self.rows[start..start + successors])
+    }
+
+    /// The position values of every memo key at the capped position
+    /// `capped`.
+    #[inline]
+    fn position_row(&self, capped: usize) -> &[f64] {
+        let keys = self.key_count() as usize;
+        &self.positions[capped * keys..(capped + 1) * keys]
+    }
 }
 
 /// A candidate next-token as scoring sees it.
@@ -306,8 +400,6 @@ struct Candidate {
     key: u32,
     /// The candidate-half feature hash.
     hash: u64,
-    /// The compiled served weight of its `prev1` bucket (successors only).
-    prev1_weight: Option<f64>,
 }
 
 /// One nonzero averaged-perceptron parameter: `(bucket, raw weight,
@@ -534,15 +626,79 @@ impl BeamArena {
     }
 }
 
-/// Per-call decode memo (see the module notes): the candidate-only bucket
-/// values of each candidate, and each scored step's full candidate list.
+/// A decode call's view of its sentence and of the thread's scratch.
 struct DecodeMemo<'s> {
     index: &'s SentenceIndex,
+    scratch: &'s mut DecodeScratch,
+}
+
+/// Everything a decode call writes before its output (see the module
+/// notes): the candidate-only bucket values of each candidate, each scored
+/// step's full candidate list, the sentence's membership map and the beam's
+/// nodes. One lives per thread ([`with_decode_scratch`]); each call clears
+/// it and keeps its capacity.
+#[derive(Default)]
+struct DecodeScratch {
     candidates: CandidateMemo<f64>,
     /// `(prev2, prev1, capped position)` → range of `scores`.
     steps: HashMap<(Symbol, Symbol, u32), (u32, u32), FnvState>,
     /// `(candidate, score)` in the deterministic candidate order.
     scores: Vec<(Symbol, f64)>,
+    membership: Membership,
+    arena: BeamArena,
+}
+
+thread_local! {
+    static DECODE_SCRATCH: RefCell<DecodeScratch> = RefCell::default();
+}
+
+/// Run `decode` over this thread's decode scratch. The scratch is taken
+/// out for the call and put back after it, so a panic in between only
+/// loses it, and a nested call starts from an empty one.
+fn with_decode_scratch<R>(decode: impl FnOnce(&mut DecodeScratch) -> R) -> R {
+    let mut scratch = DECODE_SCRATCH.take();
+    let out = decode(&mut scratch);
+    DECODE_SCRATCH.set(scratch);
+    out
+}
+
+/// Which memo keys name a word of the decoded sentence: for each successor
+/// key, `1 + ` the word's index among the sentence's distinct words
+/// (saturating at `u16::MAX`), or 0. One fill per decode replaces a binary
+/// search of the sentence per scored candidate; a fill resets only the keys
+/// the previous one set.
+#[derive(Default)]
+struct Membership {
+    slots: Vec<u16>,
+    /// The keys set since the last fill.
+    touched: Vec<u32>,
+}
+
+impl Membership {
+    fn fill(&mut self, compiled: &CompiledTransitions, index: &SentenceIndex, eos: Symbol) {
+        for &key in &self.touched {
+            self.slots[key as usize] = 0;
+        }
+        self.touched.clear();
+        let keys = compiled.key_count() as usize;
+        if keys > self.slots.len() {
+            self.slots.reserve_exact(keys - self.slots.len());
+            self.slots.resize(keys, 0);
+        }
+        for (i, &(word, _)) in index.distinct_words().iter().enumerate() {
+            if let Some(key) = compiled.key(word, eos) {
+                self.slots[key as usize] = u16::try_from(i + 1).unwrap_or(u16::MAX);
+                self.touched.push(key);
+            }
+        }
+    }
+
+    /// `1 + ` the distinct-word index of `key`'s token, or 0 when the
+    /// sentence lacks it.
+    #[inline]
+    fn get(&self, key: u32) -> u16 {
+        self.slots[key as usize]
+    }
 }
 
 /// One slot per candidate-only bucket ([`SentenceIndex::candidate_buckets`])
@@ -723,7 +879,13 @@ impl LuinetParser {
     /// change to `compiled` or `averaged` ends here: [`LuinetParser::install`]
     /// (train, fine-tune and snapshot load) and `absorb_programs`.
     fn rebind(&mut self) {
-        self.compiled.bind(&self.averaged, self.eos);
+        let contexts = self
+            .transitions
+            .trigram
+            .keys()
+            .map(|&(prev2, prev1, _)| (prev2, prev1));
+        self.compiled
+            .bind(&self.averaged, self.eos, self.eos_hash, contexts);
     }
 
     /// Train on the given examples (teacher forcing, averaged perceptron,
@@ -833,7 +995,6 @@ impl LuinetParser {
                         .key(token, self.eos)
                         .unwrap_or(unkeyed + position as u32),
                     hash,
-                    prev1_weight: None,
                 })
                 .collect();
             PreparedExample { index, gold }
@@ -847,31 +1008,31 @@ impl LuinetParser {
         self.compiled.key_count() + i as u32
     }
 
-    /// The end-of-sequence candidate, with its `prev1` bucket looked up.
+    /// The end-of-sequence candidate.
     fn eos_candidate(&self) -> Candidate {
         Candidate {
             token: self.eos,
             key: EOS_KEY,
             hash: self.eos_hash,
-            prev1_weight: None,
         }
     }
 
-    /// A decode memo for `index` over a candidate memo whose capacity it
-    /// reuses.
+    /// A decode memo for `index` over `scratch`, cleared with its capacity
+    /// kept.
     fn decode_memo<'s>(
         &self,
         index: &'s SentenceIndex,
-        mut candidates: CandidateMemo<f64>,
+        scratch: &'s mut DecodeScratch,
     ) -> DecodeMemo<'s> {
-        candidates.clear();
-        candidates.reserve_keys(self.copy_key(index.distinct_words().len()) as usize);
-        DecodeMemo {
-            index,
-            candidates,
-            steps: HashMap::default(),
-            scores: Vec::new(),
-        }
+        scratch.candidates.clear();
+        scratch
+            .candidates
+            .reserve_keys(self.copy_key(index.distinct_words().len()) as usize);
+        scratch.steps.clear();
+        scratch.scores.clear();
+        scratch.membership.fill(&self.compiled, index, self.eos);
+        scratch.arena.nodes.clear();
+        DecodeMemo { index, scratch }
     }
 
     /// One epoch of mixing rounds over a shuffled order: each round hands
@@ -953,8 +1114,7 @@ impl LuinetParser {
     }
 
     /// Visit the candidate next-tokens in the deterministic scoring order:
-    /// the compiled successors of `prev1` (text order, with their compiled
-    /// `prev1` weights), then the sentence's distinct words not already
+    /// the compiled successors of `prev1` (text order), then the sentence's distinct words not already
     /// among them (first-occurrence order, the copy actions), then the
     /// end-of-sequence token, then — in training — the gold token when no
     /// other source proposed it.
@@ -973,7 +1133,6 @@ impl LuinetParser {
                     token: successor.token,
                     key: successor.key,
                     hash: successor.hash,
-                    prev1_weight: Some(successor.prev1_weight),
                 });
             }
         }
@@ -984,7 +1143,6 @@ impl LuinetParser {
                     token: word,
                     key: self.copy_key(i),
                     hash,
-                    prev1_weight: None,
                 });
             }
         }
@@ -1004,8 +1162,8 @@ impl LuinetParser {
     /// delta, plus the pretrained-LM contribution. The candidate-only
     /// buckets and their snapshot weights come from `memo` (which must
     /// belong to this step's sentence and to `params`); the delta is read
-    /// live, since the shard writes it between steps. The compiled `prev1`
-    /// weights are served weights, so training looks that bucket up too.
+    /// live, since the shard writes it between steps. The compiled decode
+    /// tables hold served weights, so training looks every step bucket up.
     #[inline]
     fn score_train(
         &self,
@@ -1021,38 +1179,27 @@ impl LuinetParser {
         step.score_cached(
             candidate.token,
             candidate.hash,
-            None,
             cached,
             |&(bucket, weight)| weight + delta.weight(bucket as usize),
             |bucket| params.weight(bucket) as f64 + delta.weight(bucket),
         ) + self.lm_score(step, candidate.token)
     }
 
-    /// Averaged-weight score of one candidate at decode time, with its
-    /// candidate-only bucket values memoized for the rest of the call and
-    /// its compiled `prev1` weight, when it has one, read from the
-    /// candidate.
-    #[inline]
-    fn score_decode(
-        &self,
-        memo: &mut CandidateMemo<f64>,
-        step: &StepContext<'_>,
-        candidate: &Candidate,
-    ) -> f64 {
-        let cached = memo.slots(step.index(), candidate, |bucket| self.averaged.get(bucket));
-        step.score_cached(
-            candidate.token,
-            candidate.hash,
-            candidate.prev1_weight,
-            cached,
-            |&value| value,
-            |bucket| self.averaged.get(bucket),
-        ) + self.lm_score(step, candidate.token)
-    }
-
     /// The scored candidates of the step after `(prev2, prev1)` at
-    /// `position`, as a range of `memo.scores`: looked up when an earlier
-    /// step of this call had the same key, scored and recorded otherwise.
+    /// `position`, as a range of the scratch's scores: looked up when an
+    /// earlier step of this call had the same key, scored and recorded
+    /// otherwise.
+    ///
+    /// This is the compiled decode scorer. It visits the candidates in
+    /// [`LuinetParser::for_each_candidate`] order and sums each
+    /// candidate's buckets in [`StepContext::for_each_bucket`] order, but
+    /// reads every sentence-free term it can from the bound tables: a
+    /// successor's head (bias + prev1) and, when the transition model saw
+    /// the `(prev2, prev1)` context, its row value (head + prev2), then its
+    /// position value. Sentence membership comes from the call's
+    /// [`Membership`] map, and the copy list skips the sentence words that
+    /// are successors of `prev1` by a bitmask filled while the successors
+    /// are scored.
     fn scored_step(
         &self,
         memo: &mut DecodeMemo<'_>,
@@ -1060,20 +1207,129 @@ impl LuinetParser {
         prev2: Symbol,
         position: usize,
     ) -> Range<usize> {
-        let key = (prev2, prev1, position.min(POSITION_CAP) as u32);
-        if let Some(&(start, end)) = memo.steps.get(&key) {
+        let capped = position.min(POSITION_CAP);
+        let key = (prev2, prev1, capped as u32);
+        let scratch = &mut *memo.scratch;
+        if let Some(&(start, end)) = scratch.steps.get(&key) {
             return start as usize..end as usize;
         }
         let index = memo.index;
         let step = StepContext::new(index, prev1, prev2, position);
-        let start = memo.scores.len();
-        self.for_each_candidate(index, prev1, None, |candidate| {
-            let score = self.score_decode(&mut memo.candidates, &step, &candidate);
-            memo.scores.push((candidate.token, score));
-        });
-        let end = memo.scores.len();
-        memo.steps.insert(key, (start as u32, end as u32));
+        // The two step buckets `sentence_terms` asks for: this step's copy
+        // bucket and the copy-next bucket. Should they collide, both read
+        // the same served weight.
+        let copy = self.averaged.get(step.copy_bucket());
+        let copy_next = self.compiled.copy_next;
+        let step_value = |bucket: usize| {
+            if bucket == COPY_NEXT_BUCKET {
+                copy_next
+            } else {
+                copy
+            }
+        };
+        let start = scratch.scores.len();
+        let entry = self.compiled.get(prev1);
+        // Bit `i`: the sentence's `i`-th distinct word is a successor.
+        let mut listed = 0u64;
+        let mut eos_listed = false;
+        if let Some(entry) = entry {
+            let row = self
+                .compiled
+                .context_row(prev2, prev1, entry.candidates.len());
+            let positions = self.compiled.position_row(capped);
+            for (i, successor) in entry.candidates.iter().enumerate() {
+                let mut score = match row {
+                    Some(row) => row[i],
+                    None => successor.head + self.averaged.get(step.prev2_bucket(successor.hash)),
+                };
+                score += positions[successor.key as usize];
+                let member = scratch.membership.get(successor.key);
+                let candidate = Candidate {
+                    token: successor.token,
+                    key: successor.key,
+                    hash: successor.hash,
+                };
+                let cached = scratch
+                    .candidates
+                    .slots(index, &candidate, |bucket| self.averaged.get(bucket));
+                let score = step.sentence_terms(
+                    score,
+                    member != 0,
+                    successor.token,
+                    cached,
+                    |&value| value,
+                    step_value,
+                ) + self.lm_score(&step, successor.token);
+                scratch.scores.push((successor.token, score));
+                if (1..=64).contains(&member) {
+                    listed |= 1 << (member - 1);
+                }
+                eos_listed |= successor.key == EOS_KEY;
+            }
+        }
+        for (i, &(word, hash)) in index.distinct_words().iter().enumerate() {
+            let is_successor = if i < 64 {
+                (listed >> i) & 1 != 0
+            } else {
+                entry.is_some_and(|entry| entry.contains(word))
+            };
+            if !is_successor {
+                let candidate = Candidate {
+                    token: word,
+                    key: self.copy_key(i),
+                    hash,
+                };
+                let score = self.score_unlisted(
+                    &mut scratch.candidates,
+                    &step,
+                    &candidate,
+                    true,
+                    step_value,
+                );
+                scratch.scores.push((word, score));
+            }
+        }
+        if !eos_listed && scratch.membership.get(EOS_KEY) == 0 {
+            let candidate = self.eos_candidate();
+            let score = self.score_unlisted(
+                &mut scratch.candidates,
+                &step,
+                &candidate,
+                false,
+                step_value,
+            );
+            scratch.scores.push((self.eos, score));
+        }
+        let end = scratch.scores.len();
+        scratch.steps.insert(key, (start as u32, end as u32));
         start..end
+    }
+
+    /// The decode score of a candidate that is not a successor of the
+    /// step's `prev1` (a copy, or end-of-sequence), with its step buckets
+    /// looked up live. `in_sentence` says whether the sentence holds the
+    /// candidate, and `step_value` values the copy and copy-next buckets.
+    #[inline]
+    fn score_unlisted(
+        &self,
+        candidates: &mut CandidateMemo<f64>,
+        step: &StepContext<'_>,
+        candidate: &Candidate,
+        in_sentence: bool,
+        step_value: impl Fn(usize) -> f64,
+    ) -> f64 {
+        let cached = candidates.slots(step.index(), candidate, |bucket| self.averaged.get(bucket));
+        let score = step.fixed_terms(cached[0], candidate.hash, |bucket| {
+            self.averaged.get(bucket)
+        });
+        step.sentence_terms(
+            score,
+            in_sentence,
+            candidate.token,
+            cached,
+            |&value| value,
+            step_value,
+        ) + self.lm_score(step, candidate.token)
     }
 
     #[inline]
@@ -1123,7 +1379,7 @@ impl LuinetParser {
             let mut best = self.eos;
             let mut best_score = f64::NEG_INFINITY;
             let scored = self.scored_step(memo, prev1, prev2, position);
-            for &(candidate, score) in &memo.scores[scored] {
+            for &(candidate, score) in &memo.scratch.scores[scored] {
                 if score > best_score {
                     best_score = score;
                     best = candidate;
@@ -1143,7 +1399,14 @@ impl LuinetParser {
             // Score the closing end-of-sequence step the decode never took,
             // so normalized scores stay comparable with finished sequences.
             let step = StepContext::new(memo.index, prev1, prev2, out.len());
-            total += self.score_decode(&mut memo.candidates, &step, &self.eos_candidate());
+            let in_sentence = memo.scratch.membership.get(EOS_KEY) != 0;
+            total += self.score_unlisted(
+                &mut memo.scratch.candidates,
+                &step,
+                &self.eos_candidate(),
+                in_sentence,
+                |bucket| self.averaged.get(bucket),
+            );
             steps += 1;
         }
         (out, total / steps.max(1) as f64)
@@ -1153,8 +1416,9 @@ impl LuinetParser {
     /// weights).
     pub fn predict(&self, sentence: &[Symbol]) -> Vec<String> {
         let index = SentenceIndex::build(sentence);
-        let (tokens, _) =
-            self.decode_greedy(&mut self.decode_memo(&index, CandidateMemo::default()));
+        let (tokens, _) = with_decode_scratch(|scratch| {
+            self.decode_greedy(&mut self.decode_memo(&index, scratch))
+        });
         resolve_tokens(&tokens)
     }
 
@@ -1173,7 +1437,7 @@ impl LuinetParser {
     /// property the serving cache depends on.
     pub fn predict_topk(&self, sentence: &[Symbol], k: usize) -> Vec<ScoredPrediction> {
         let index = SentenceIndex::build(sentence);
-        self.decode_topk(&mut self.decode_memo(&index, CandidateMemo::default()), k)
+        with_decode_scratch(|scratch| self.decode_topk(&mut self.decode_memo(&index, scratch), k))
     }
 
     /// [`LuinetParser::predict_topk`] over a prepared memo.
@@ -1187,13 +1451,16 @@ impl LuinetParser {
         if k <= 1 {
             return out;
         }
-        let mut arena = BeamArena::default();
-        for hypothesis in self.beam(memo, k, &mut arena) {
+        for hypothesis in self.beam(memo, k) {
             if out.len() >= k {
                 break;
             }
-            let tokens =
-                resolve_tokens(&arena.materialize(hypothesis.tail, hypothesis.len as usize));
+            let tokens = resolve_tokens(
+                &memo
+                    .scratch
+                    .arena
+                    .materialize(hypothesis.tail, hypothesis.len as usize),
+            );
             if out.iter().any(|p| p.tokens == tokens) {
                 continue;
             }
@@ -1205,12 +1472,7 @@ impl LuinetParser {
 
     /// Deterministic beam search over the decode space; returns the beam
     /// ranked by length-normalized score.
-    fn beam(
-        &self,
-        memo: &mut DecodeMemo<'_>,
-        beam_width: usize,
-        arena: &mut BeamArena,
-    ) -> Vec<Hypothesis> {
+    fn beam(&self, memo: &mut DecodeMemo<'_>, beam_width: usize) -> Vec<Hypothesis> {
         let interner: &'static genie_nlp::Interner = genie_nlp::intern::shared();
         let mut beam: Vec<Hypothesis> = vec![Hypothesis {
             tail: 0,
@@ -1234,7 +1496,8 @@ impl LuinetParser {
                     continue;
                 }
                 let scored = self.scored_step(memo, hypothesis.prev1, hypothesis.prev2, position);
-                for &(candidate, score) in &memo.scores[scored] {
+                let scratch = &mut *memo.scratch;
+                for &(candidate, score) in &scratch.scores[scored] {
                     let mut extended = *hypothesis;
                     extended.score += score;
                     extended.steps += 1;
@@ -1243,12 +1506,13 @@ impl LuinetParser {
                     } else {
                         extended.prev2 = extended.prev1;
                         extended.prev1 = candidate;
-                        extended.tail = arena.push(hypothesis.tail, candidate);
+                        extended.tail = scratch.arena.push(hypothesis.tail, candidate);
                         extended.len += 1;
                     }
                     next.push(extended);
                 }
             }
+            let arena = &memo.scratch.arena;
             // Deterministic pruning: normalized score descending, token
             // sequence (by resolved text) as the tie-break — no hash-order
             // or float-equality ambiguity, no dependence on symbol ids.
@@ -1319,8 +1583,9 @@ impl LuinetParser {
         let interner: &'static genie_nlp::Interner = genie_nlp::intern::shared();
         let correct = genie_parallel::par_map(self.config.threads, examples, |_, example| {
             let index = SentenceIndex::build(&example.sentence);
-            let (tokens, _) =
-                self.decode_greedy(&mut self.decode_memo(&index, CandidateMemo::default()));
+            let (tokens, _) = with_decode_scratch(|scratch| {
+                self.decode_greedy(&mut self.decode_memo(&index, scratch))
+            });
             tokens.len() == example.program.len()
                 && tokens
                     .iter()
@@ -2020,10 +2285,22 @@ mod tests {
         }
     }
 
-    /// One candidate memo reused across decodes stays exact and bounded:
-    /// after it grew on long sentences, a sentence of words interned later
-    /// decodes bit-identically to the reference, and its key capacity never
-    /// exceeds the vocabulary plus the longest sentence's distinct words.
+    /// The key capacities of this thread's decode scratch: the candidate
+    /// memo's and the membership map's.
+    fn scratch_capacity() -> (usize, usize) {
+        DECODE_SCRATCH.with_borrow(|scratch| {
+            (
+                scratch.candidates.offsets.capacity(),
+                scratch.membership.slots.capacity(),
+            )
+        })
+    }
+
+    /// The thread's decode scratch, reused across decodes, stays exact and
+    /// bounded: after it grew on long sentences, a sentence of words
+    /// interned later decodes bit-identically to the reference, and its key
+    /// capacity never exceeds the vocabulary plus the longest sentence's
+    /// distinct words.
     #[test]
     fn a_reused_candidate_memo_stays_exact_and_bounded() {
         let mut parser = LuinetParser::new(ModelConfig {
@@ -2033,36 +2310,239 @@ mod tests {
             ..ModelConfig::default()
         });
         parser.train(&training_set());
-        let mut candidates = CandidateMemo::default();
+        DECODE_SCRATCH.take();
         let mut longest = 0;
-        let mut decode = |candidates: CandidateMemo<f64>, sentence: &TokenStream| {
-            let index = SentenceIndex::build(sentence);
-            let mut memo = parser.decode_memo(&index, candidates);
-            let got = bits(parser.decode_topk(&mut memo, 3));
+        let mut decode = |sentence: &TokenStream| {
+            let got = bits(parser.predict_topk(sentence, 3));
             assert_eq!(got, reference_topk(&parser, sentence, 3));
-            longest = longest.max(index.distinct_words().len());
+            longest = longest.max(SentenceIndex::build(sentence).distinct_words().len());
             let bound = parser.vocab().len() + longest;
-            assert!(
-                memo.candidates.offsets.capacity() <= bound,
-                "memo capacity {} above {bound}",
-                memo.candidates.offsets.capacity()
-            );
-            memo.candidates
+            let (offsets, members) = scratch_capacity();
+            assert!(offsets <= bound, "memo capacity {offsets} above {bound}");
+            assert!(members <= parser.vocab().len(), "{members} membership keys");
         };
         for text in [
             "show me my gmail stuff and my dropbox stuff and my calendar stuff please now",
             "tweet rust is great",
             "notify me when my twitter stuff changes",
         ] {
-            candidates = decode(candidates, &stream(text));
+            decode(&stream(text));
         }
-        let grown = candidates.offsets.capacity();
-        let fresh = stream("tweet wombat lantern wombat ocelot");
-        candidates = decode(candidates, &fresh);
+        let grown = scratch_capacity();
+        decode(&stream("tweet wombat lantern wombat ocelot"));
         assert_eq!(
-            candidates.offsets.capacity(),
+            scratch_capacity(),
             grown,
-            "a shorter sentence grew the memo"
+            "a shorter sentence grew the scratch"
+        );
+    }
+
+    /// Two parsers with different key counts decode alternately on one
+    /// thread, the way a swap interleaves the incoming world's carry with
+    /// the outgoing world's misses. Over sentences that grow and then
+    /// shrink, each result equals the reference, and the shared scratch
+    /// stays bounded by the larger vocabulary plus the longest sentence.
+    #[test]
+    fn two_parsers_share_one_thread_scratch_exactly() {
+        let train = |examples: &[ParserExample]| {
+            let mut parser = LuinetParser::new(ModelConfig {
+                epochs: 3,
+                seed: 9,
+                threads: 1,
+                ..ModelConfig::default()
+            });
+            parser.train(examples);
+            parser
+        };
+        let small = train(&training_set());
+        let mut examples = training_set();
+        examples.extend(sharded_training_set());
+        let large = train(&examples);
+        assert!(small.compiled.key_count() < large.compiled.key_count());
+        DECODE_SCRATCH.take();
+        let texts = [
+            "tweet hi",
+            "show me my gmail stuff",
+            "notify me when my spotify entries change",
+            "fetch me my weather and my news and tweet hello world then show my dropbox stuff",
+            "tweet one two three four five six seven eight nine ten eleven twelve notify =>",
+            "get my calendar stuff",
+            "tweet ok",
+            "",
+        ];
+        let mut longest = 0;
+        for (round, text) in texts.iter().enumerate() {
+            let sentence = stream(text);
+            longest = longest.max(SentenceIndex::build(&sentence).distinct_words().len());
+            let order = if round % 2 == 0 {
+                [&small, &large]
+            } else {
+                [&large, &small]
+            };
+            for parser in order {
+                for k in [1, 3] {
+                    let expected = reference_topk(parser, &sentence, k);
+                    assert_eq!(bits(parser.predict_topk(&sentence, k)), expected, "{text}");
+                    assert_eq!(parser.predict(&sentence).join(" "), expected[0].0, "{text}");
+                }
+                let bound = large.vocab().len() + longest;
+                let (offsets, members) = scratch_capacity();
+                assert!(offsets <= bound, "memo capacity {offsets} above {bound}");
+                assert!(members <= large.vocab().len(), "{members} membership keys");
+            }
+        }
+    }
+
+    /// The compiled decode scorer ([`LuinetParser::scored_step`]) matches,
+    /// bit for bit and in candidate order, the plain sum of
+    /// [`AveragedWeights::get`] over [`StepContext::for_each_bucket`] plus
+    /// the LM term. Seeded steps cover contexts in and not in the trigram
+    /// map, positions 0, 24 and past [`POSITION_CAP`], and `prev1`s copied
+    /// from the sentence. The sentences hold successor tokens, more than 64
+    /// distinct words (the copy list's fallback), the end-of-sequence text
+    /// and words interned after training. The parsers include ones after
+    /// `fine_tune(.., 0)`, `train(&[])` and save → load.
+    #[test]
+    fn compiled_decode_scorer_matches_a_plain_sum() {
+        use rand::Rng;
+        let mut examples = training_set();
+        examples.extend(sharded_training_set());
+        let mut lm = ProgramLm::new();
+        lm.train(examples.iter().map(|e| &e.program));
+        let mut with_lm = LuinetParser::new(ModelConfig {
+            epochs: 3,
+            seed: 12,
+            threads: 1,
+            ..ModelConfig::default()
+        })
+        .with_pretrained_lm(lm);
+        with_lm.train(&examples);
+        let base = || {
+            let mut parser = LuinetParser::new(ModelConfig {
+                epochs: 3,
+                seed: 13,
+                threads: 1,
+                ..ModelConfig::default()
+            });
+            parser.train(&training_set());
+            parser
+        };
+        let mut absorbed = base();
+        absorbed.fine_tune(
+            &[ParserExample::from_strs(
+                "tweet hello then notify",
+                "now => @com.twitter.post ( param:status = \" hello \" ) => notify",
+            )],
+            0,
+        );
+        let mut retrained_empty = base();
+        retrained_empty.train(&[]);
+        let loaded = crate::snapshot::from_bytes(&crate::snapshot::to_bytes(&with_lm)).unwrap();
+
+        let interner = genie_nlp::intern::shared();
+        let mut wide: Vec<String> = (0..70).map(|i| format!("wideword{i}")).collect();
+        wide.splice(10..10, ["notify", "now"].map(String::from));
+        wide.extend(["=>", "(", ")", "@com.gmail.inbox", "notify"].map(String::from));
+        let sentences: Vec<TokenStream> = [
+            "show me my gmail stuff",
+            "notify me when my twitter stuff changes",
+            "tweet hello world now => notify ( )",
+            "tweet see you </s> later",
+            "tweet quokka marmalade zeppelin quokka",
+            wide.join(" ").as_str(),
+            "",
+        ]
+        .into_iter()
+        .map(stream)
+        .collect();
+        assert!(SentenceIndex::build(&sentences[5]).distinct_words().len() > 64);
+
+        let mut rng = StdRng::seed_from_u64(0xc0_4b11ed);
+        let (mut in_map, mut off_map, mut shared_words, mut compared) = (0, 0, 0, 0);
+        for (name, parser) in [
+            ("with_lm", &with_lm),
+            ("fine_tune(.., 0)", &absorbed),
+            ("train(&[])", &retrained_empty),
+            ("save → load", &loaded),
+        ] {
+            let mut contexts: Vec<(Symbol, Symbol)> = parser
+                .transitions
+                .trigram
+                .keys()
+                .map(|&(prev2, prev1, _)| (prev2, prev1))
+                .collect();
+            contexts.sort_unstable_by_key(|&(a, b)| (interner.resolve(a), interner.resolve(b)));
+            contexts.dedup();
+            let mut tokens: Vec<Symbol> = contexts.iter().map(|&(_, prev1)| prev1).collect();
+            tokens.sort_unstable_by_key(|&s| interner.resolve(s));
+            tokens.dedup();
+            let plain = |step: &StepContext<'_>, token: Symbol| {
+                let mut score = 0.0;
+                step.for_each_bucket(token, cand_hash(interner.resolve(token)), |bucket| {
+                    score += parser.averaged.get(bucket);
+                });
+                score + parser.lm_score(step, token)
+            };
+            for sentence in &sentences {
+                let index = SentenceIndex::build(sentence);
+                let words: Vec<Symbol> = index.distinct_words().iter().map(|&(w, _)| w).collect();
+                with_decode_scratch(|scratch| {
+                    let mut memo = parser.decode_memo(&index, scratch);
+                    for _ in 0..60 {
+                        let pick = |rng: &mut StdRng| match rng.gen_range(0..3) {
+                            0 if !words.is_empty() => words[rng.gen_range(0..words.len())],
+                            _ => tokens[rng.gen_range(0..tokens.len())],
+                        };
+                        let (prev2, prev1) = if rng.gen_bool(0.5) {
+                            contexts[rng.gen_range(0..contexts.len())]
+                        } else {
+                            (pick(&mut rng), pick(&mut rng))
+                        };
+                        let position: usize =
+                            [0, 1, 7, 23, 24, 25, 31, 47][rng.gen_range(0..8usize)];
+                        let successors = parser.compiled.get(prev1);
+                        if let Some(entry) = successors {
+                            match parser
+                                .compiled
+                                .context_row(prev2, prev1, entry.candidates.len())
+                            {
+                                Some(_) => in_map += 1,
+                                None => off_map += 1,
+                            }
+                            shared_words += entry
+                                .candidates
+                                .iter()
+                                .filter(|successor| index.contains(successor.token))
+                                .count();
+                        }
+                        let scored = parser.scored_step(&mut memo, prev1, prev2, position);
+                        let got: Vec<(Symbol, u64)> = memo.scratch.scores[scored]
+                            .iter()
+                            .map(|&(token, score)| (token, score.to_bits()))
+                            .collect();
+                        let step = StepContext::new(&index, prev1, prev2, position);
+                        let mut expected = Vec::new();
+                        parser.for_each_candidate(&index, prev1, None, |candidate| {
+                            let score = plain(&step, candidate.token);
+                            expected.push((candidate.token, score.to_bits()));
+                        });
+                        assert_eq!(
+                            got,
+                            expected,
+                            "{name}: {:?} after ({}, {}) at {position}",
+                            interner.render(sentence),
+                            interner.resolve(prev2),
+                            interner.resolve(prev1),
+                        );
+                        compared += got.len();
+                    }
+                });
+            }
+        }
+        assert!(
+            in_map > 200 && off_map > 200 && shared_words > 200 && compared > 20_000,
+            "{in_map} trigram contexts, {off_map} others, {shared_words} shared words, \
+             {compared} scores"
         );
     }
 

@@ -25,8 +25,9 @@
 //! one structure that genuinely depends on live arena ids; it is re-sorted
 //! at load (`O(n log n)` over compiled successors, the same work the
 //! crate-private `CompiledTransitions` does on a fresh compile). Each
-//! successor's memo key and served `prev1` weight are derived state too:
-//! the load's `install` binds them, so the format stores neither.
+//! successor's memo key and every compiled decode table over the served
+//! weights are derived state too: the load's `install` binds them, so the
+//! format stores none of them.
 //!
 //! # Guarantees
 //!
